@@ -126,7 +126,8 @@ void ThreadExecutor::drain_prefetch(DrainSite site) {
     Task* task = intent.task;
     const SpaceId space = machine_.worker(intent.worker).space;
     // Stale first (covers deferred intents whose task meanwhile started):
-    // someone already staged this task — never prefetch over it.
+    // someone already staged — or, at kStaging, is staging — this task.
+    // Never prefetch over it.
     if (task->acquired_space.load() != kInvalidSpace) {
       record_prefetch_event(core::TraceEventKind::kPrefetchStale, *task,
                             intent.worker, 0);
@@ -147,11 +148,14 @@ void ThreadExecutor::drain_prefetch(DrainSite site) {
       prefetch_charges_.emplace(task->id, PrefetchCharge{space, bytes});
     }
     SpaceId expected = kInvalidSpace;
-    if (task->acquired_space.claim(expected, space)) {
+    if (task->acquired_space.claim(expected, AcquiredSpace::kStaging)) {
       // Won the claim: stage the data with no lock held but the
-      // directory's own (internally synchronized) classes.
+      // directory's own (internally synchronized) classes, then publish.
+      // Until then the executing worker waits, so the task cannot finish
+      // — nor its graph retire its regions — mid-acquire.
       TransferList ops;  // accounting only — data lives in host storage
       port_->port_directory().acquire(task->accesses, space, ops);
+      task->acquired_space.publish(space);
       std::uint64_t staged = 0;
       for (const TransferOp& op : ops) staged += op.bytes;
       record_prefetch_event(site == DrainSite::kPlacement
@@ -248,7 +252,13 @@ bool ThreadExecutor::run_one(WorkerId worker) {
   if (task->acquired_space.claim(expected, space)) {
     TransferList ops;  // accounting only — data lives in host storage
     port_->port_directory().acquire(task->accesses, space, ops);
-  } else if (expected != space) {
+    expected = space;
+  } else if (expected == AcquiredSpace::kStaging) {
+    // The prefetch side won and is mid-acquire: wait for it to publish
+    // before running (or re-homing) the task.
+    expected = task->acquired_space.wait_published();
+  }
+  if (expected != space) {
     // A steal re-homed the task after its data was staged for the
     // originally assigned worker's space: re-acquire for ours. No
     // concurrent acquirer exists any more (the prefetch side only ever

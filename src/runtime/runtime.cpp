@@ -1,7 +1,6 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -98,9 +97,13 @@ void Runtime::unregister_data(RegionId region) {
   // the liveness scan below must see their final (possibly fused) form.
   flush_fuse_window();
   // Guard against use-after-free at the task level: no live task may still
-  // reference the region. (Linear scan: deregistration is a coarse event,
-  // typically after a taskwait.)
-  for (const Task& task : graph_.tasks()) {
+  // reference the region. Tasks below the graph's oldest-unfinished
+  // watermark have all finished, so the scan covers only the in-flight
+  // tail and a service retire costs O(in-flight), not O(history). Split
+  // shells, fuse hosts and fuse stubs finish through the same graph calls
+  // that move the watermark, and each task's current accesses are read.
+  for (std::size_t id = graph_.oldest_unfinished(); id < graph_.size(); ++id) {
+    const Task& task = graph_.task(id);
     if (task.state == TaskState::kFinished) continue;
     for (const Access& access : task.accesses) {
       VERSA_CHECK_MSG(access.region != region,
@@ -192,9 +195,9 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
 
   // Resolve open-ended lengths and compute the data-set size with every
   // region counted once (paper footnote 2).
-  std::set<RegionId> seen;
   std::uint64_t data_set_size = 0;
-  for (Access& access : accesses) {
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    Access& access = accesses[i];
     const RegionDesc& desc = directory_.region(access.region);
     if (access.length == 0) {
       VERSA_CHECK_MSG(access.offset < desc.size, "access offset out of range");
@@ -202,9 +205,7 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
     }
     VERSA_CHECK_MSG(access.offset + access.length <= desc.size,
                     "access range exceeds region");
-    if (seen.insert(access.region).second) {
-      data_set_size += desc.size;
-    }
+    if (first_clause_of_region(accesses, i)) data_set_size += desc.size;
   }
 
   // Adaptive granularity hook: may re-tile the submission into children
@@ -367,9 +368,9 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
 
       std::vector<TaskId> ready;
       for (AccessList& part : parts) {
-        std::set<RegionId> seen;
         std::uint64_t child_size = 0;
-        for (const Access& access : part) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          const Access& access = part[i];
           const RegionDesc& desc = directory_.region(access.region);
           VERSA_CHECK_MSG(
               access.length > 0 && access.offset < desc.size &&
@@ -379,7 +380,7 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
           // region once), not the full region sizes: different tilings
           // must land in different profile groups for the controller to
           // learn from both.
-          if (seen.insert(access.region).second) child_size += access.length;
+          if (first_clause_of_region(part, i)) child_size += access.length;
         }
         Task& child = graph_.create_task(recipe->child_type, std::move(part),
                                          child_size, std::string(),
@@ -428,9 +429,9 @@ void Runtime::flush_fuse_window() {
   lists.reserve(members.size());
   for (TaskId id : members) lists.push_back(graph_.task(id).accesses);
   AccessList fused = recipe->fuse(lists);
-  std::set<RegionId> seen;
   std::uint64_t fused_size = 0;
-  for (Access& access : fused) {
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    Access& access = fused[i];
     const RegionDesc& desc = directory_.region(access.region);
     if (access.length == 0) {
       VERSA_CHECK_MSG(access.offset < desc.size,
@@ -439,7 +440,7 @@ void Runtime::flush_fuse_window() {
     }
     VERSA_CHECK_MSG(access.offset + access.length <= desc.size,
                     "fuse recipe produced an out-of-range access");
-    if (seen.insert(access.region).second) fused_size += desc.size;
+    if (first_clause_of_region(fused, i)) fused_size += desc.size;
   }
 
   const Time stamp = now();
@@ -699,10 +700,13 @@ void Runtime::taskwait_on(RegionId region) {
   {
     versa::RecursiveLockGuard lock(mutex_);
     if (granularity_ != nullptr) flush_fuse_window();
-    // Latest writer = the largest task id among interval writers; the
-    // analyzer does not expose it directly, so scan the graph tail. Tasks
-    // are few enough (and this call rare enough) for a linear scan.
-    for (const Task& task : graph_.tasks()) {
+    // Latest writer = the largest task id among unfinished writers; the
+    // analyzer does not expose it directly, so scan the graph from the
+    // oldest-unfinished watermark (every earlier task has finished): the
+    // cost follows the tasks in flight, not the run's history.
+    for (std::size_t id = graph_.oldest_unfinished(); id < graph_.size();
+         ++id) {
+      const Task& task = graph_.task(id);
       if (task.state == TaskState::kFinished) continue;
       for (const Access& access : task.accesses) {
         if (access.region == region && writes(access.mode)) {

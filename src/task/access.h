@@ -3,6 +3,7 @@
 // every dependence clause also implies the corresponding copy clause).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,17 @@ struct Access {
 };
 
 using AccessList = std::vector<Access>;
+
+/// True when `accesses[i]` is the first clause naming its region, so a
+/// data-set size counts each region once (paper footnote 2). A linear
+/// look-back: access lists are a handful of entries.
+inline bool first_clause_of_region(const AccessList& accesses,
+                                   std::size_t i) {
+  for (std::size_t j = 0; j < i; ++j) {
+    if (accesses[j].region == accesses[i].region) return false;
+  }
+  return true;
+}
 
 /// One byte span a task body actually touched, reported through the
 /// AccessWitness API (DESIGN.md §12). Unlike Access, `length` is always

@@ -117,11 +117,18 @@ using TaskFn = std::function<void(TaskContext&)>;
 /// Atomic wrapper around the space a task's directory acquire ran against.
 /// The thread backend's prefetch path and the executing worker race to
 /// stage a task's data off the runtime lock; claim() (a strong CAS)
-/// arbitrates so exactly one of them performs each acquire. Copy/move
-/// transfer the plain value — tasks are only moved during single-threaded
-/// graph construction, before any executor can race on them.
+/// arbitrates so exactly one of them performs each acquire. The prefetch
+/// side claims in two phases — kInvalidSpace -> kStaging, acquire, then
+/// publish(space) — so a worker that loses to it can wait_published()
+/// instead of running the task (and letting its graph retire) while the
+/// acquire is still in flight. Copy/move transfer the plain value — tasks
+/// are only moved during single-threaded graph construction, before any
+/// executor can race on them.
 class AcquiredSpace {
  public:
+  /// A prefetch claim whose acquire has not yet published its space.
+  static constexpr SpaceId kStaging = kInvalidSpace - 1;
+
   AcquiredSpace() = default;
   AcquiredSpace(const AcquiredSpace& other) : space_(other.load()) {}
   AcquiredSpace& operator=(const AcquiredSpace& other) {
@@ -143,6 +150,22 @@ class AcquiredSpace {
     return space_.compare_exchange_strong(expected, desired,
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire);
+  }
+
+  /// End a kStaging claim: publish the acquired space and wake waiters.
+  void publish(SpaceId space) {
+    space_.store(space, std::memory_order_release);
+    space_.notify_all();
+  }
+
+  /// The claimed space, once any kStaging claim has published it.
+  SpaceId wait_published() const {
+    SpaceId space = load();
+    while (space == kStaging) {
+      space_.wait(kStaging, std::memory_order_acquire);
+      space = load();
+    }
+    return space;
   }
 
  private:

@@ -75,10 +75,7 @@ void TaskGraph::mark_finished(TaskId id, Time now,
                   "finishing a task that was not running");
   task.state = TaskState::kFinished;
   task.finish_time = now;
-  VERSA_CHECK(unfinished_ > 0);
-  --unfinished_;
-  VERSA_CHECK(graphs_[task.graph].unfinished > 0);
-  --graphs_[task.graph].unfinished;
+  settle_finished(task);
   for (TaskId succ_id : task.successors) {
     Task& succ = tasks_[succ_id];
     VERSA_CHECK(succ.remaining_deps > 0);
@@ -96,10 +93,21 @@ void TaskGraph::finish_stub(TaskId id, Time now) {
                   "finish_stub on a task with dependence edges");
   task.state = TaskState::kFinished;
   task.finish_time = now;
+  settle_finished(task);
+}
+
+void TaskGraph::settle_finished(Task& task) {
   VERSA_CHECK(unfinished_ > 0);
   --unfinished_;
   VERSA_CHECK(graphs_[task.graph].unfinished > 0);
   --graphs_[task.graph].unfinished;
+  // Amortized O(1): each task is stepped over once, since none leaves
+  // kFinished.
+  if (task.id != oldest_unfinished_) return;
+  while (oldest_unfinished_ < tasks_.size() &&
+         tasks_[oldest_unfinished_].state == TaskState::kFinished) {
+    ++oldest_unfinished_;
+  }
 }
 
 Task& TaskGraph::task(TaskId id) {
@@ -117,6 +125,7 @@ void TaskGraph::reset() {
   graphs_.clear();
   graphs_.push_back(GraphInfo{});
   unfinished_ = 0;
+  oldest_unfinished_ = 0;
   edges_ = 0;
 }
 

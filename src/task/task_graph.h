@@ -58,6 +58,14 @@ class TaskGraph {
   std::size_t unfinished() const { return unfinished_; }
   bool all_finished() const { return unfinished_ == 0; }
 
+  /// Oldest-unfinished watermark: every task with a smaller id has
+  /// finished (size() when all have). Liveness scans start here, so
+  /// their cost follows the tasks in flight, not the run's history. It
+  /// advances only in mark_finished / finish_stub — the only places a
+  /// task becomes kFinished, a state no task ever leaves — and a task
+  /// that finishes ahead of an older one leaves it where it is.
+  std::size_t oldest_unfinished() const { return oldest_unfinished_; }
+
   /// Iterate all tasks (reporting).
   const std::deque<Task>& tasks() const { return tasks_; }
 
@@ -68,6 +76,10 @@ class TaskGraph {
   std::uint64_t edge_count() const { return edges_; }
 
  private:
+  /// Settle the counters for `task`, which just became kFinished, and
+  /// move the watermark past any finished run it now heads.
+  void settle_finished(Task& task);
+
   /// One graph root's bookkeeping; index in graphs_ is the GraphId.
   struct GraphInfo {
     TenantId tenant = kDefaultTenant;
@@ -78,6 +90,7 @@ class TaskGraph {
   std::deque<Task> tasks_;
   std::vector<GraphInfo> graphs_;
   std::size_t unfinished_ = 0;
+  std::size_t oldest_unfinished_ = 0;
   std::uint64_t edges_ = 0;
 };
 

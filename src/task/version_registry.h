@@ -8,6 +8,7 @@
 // in our API, the same access list shape, supplied per task instance.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,7 +68,10 @@ class VersionRegistry {
   };
 
   std::vector<TypeInfo> types_;
-  std::vector<TaskVersion> versions_;
+  /// A deque: the thread backend's workers run a version's body through a
+  /// reference taken under the runtime lock and held past it, so adding
+  /// a version while tasks run must not move the existing ones.
+  std::deque<TaskVersion> versions_;
 };
 
 }  // namespace versa

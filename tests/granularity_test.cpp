@@ -399,7 +399,12 @@ TEST(GranularityRuntime, DeclinedPartitionFallsBackToPlainSubmission) {
 class GranularityFuse : public testing::Test {
  protected:
   std::string write_hints(const std::string& body) {
-    const std::string path = testing::TempDir() + "/granularity_hints.txt";
+    // One file per test: ctest runs this fixture's tests as parallel
+    // processes, and a shared path let one truncate another's hints.
+    const std::string path =
+        testing::TempDir() + "/granularity_hints_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".txt";
     std::ofstream out(path);
     out << "# versa hints v1\n" << body;
     return path;

@@ -300,10 +300,13 @@ TEST(SanitizerRuntime, OffAllocatesNothing) {
   EXPECT_EQ(rt.sanitizer(), nullptr);
 }
 
+// Padding-free and pointer-free: gtest prints the parameter's raw bytes
+// into the test name, so every byte must be the same on each run.
 struct BackendCase {
   Backend backend;
-  const char* name;
+  char name[15];
 };
+static_assert(sizeof(BackendCase) == 16, "BackendCase must have no padding");
 
 class SanitizerBackendTest : public ::testing::TestWithParam<BackendCase> {};
 

@@ -13,10 +13,16 @@
 // with weights 1:2:3 all fully backlogged behind a small dispatch window;
 // over a mid-stream sample of task starts, every tenant's share must stay
 // within 2x of its weight share.
+//
+// ChurnRetiresNeverOvertakeAPrefetch is the regression test for the
+// placement-prefetch claim race (DESIGN.md §13), shaped like the
+// service-churn benchmark workload: thousands of short graphs retiring
+// their private regions while the prefetch thread stages their tasks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,6 +234,94 @@ TEST(ServiceFairShare, FairShareHoldsUnderBacklog) {
         << "tenant with weight " << weight << " got " << per_tenant[t]
         << " of " << kSample << " starts";
   }
+}
+
+// One client keeps 4 graphs in flight for two tenants weighted 1:2 on the
+// thread backend (2 workers plus the prefetch thread); each graph runs two
+// interleaved inout chains over its two private regions and a join. A
+// worker that lost a task's claim to the prefetch thread used to run it
+// while the prefetch acquire was still in flight, so the graph could
+// retire and unregister a region under that acquire (an abort in
+// DataDirectory::acquire). Every graph must now complete, and both
+// tenants reconcile exactly.
+TEST(ServiceChurn, ChurnRetiresNeverOvertakeAPrefetch) {
+  constexpr std::size_t kGraphs = 3000;
+  constexpr std::size_t kWindow = 4;
+  constexpr std::size_t kTasksPerGraph = 8;
+
+  const Machine machine = make_smp_machine(2);
+  VersaServiceConfig config;
+  config.runtime.backend = Backend::kThreads;
+  config.runtime.scheduler = "versioning";
+  VersaService svc(machine, config);
+
+  std::atomic<std::uint64_t> executed{0};
+  const TaskTypeId type = svc.runtime().declare_task("churn");
+  svc.runtime().add_version(type, DeviceKind::kSmp, "smp",
+                            [&executed](TaskContext&) {
+                              executed.fetch_add(1,
+                                                 std::memory_order_relaxed);
+                            });
+  GraphSpec spec;
+  spec.regions.push_back({"a", 4096});
+  spec.regions.push_back({"b", 4096});
+  for (std::size_t i = 0; i + 1 < kTasksPerGraph; ++i) {
+    TaskSpec task;
+    task.type = type;
+    task.accesses.push_back({i % 2, AccessMode::kInOut});
+    spec.tasks.push_back(task);
+  }
+  TaskSpec join;
+  join.type = type;
+  join.accesses.push_back({0, AccessMode::kIn});
+  join.accesses.push_back({1, AccessMode::kInOut});
+  spec.tasks.push_back(join);
+
+  std::vector<Session> sessions;
+  TenantQuota light;
+  light.weight = 1;
+  TenantQuota heavy;
+  heavy.weight = 2;
+  sessions.push_back(svc.open_session("light", light));
+  sessions.push_back(svc.open_session("heavy", heavy));
+
+  struct InFlight {
+    GraphId graph;
+    std::size_t session;
+  };
+  std::deque<InFlight> window;
+  std::uint64_t admitted[2] = {0, 0};
+  for (std::size_t i = 0; i < kGraphs; ++i) {
+    if (window.size() == kWindow) {
+      sessions[window.front().session].wait(window.front().graph);
+      window.pop_front();
+    }
+    const std::size_t s = i % 2;
+    const SubmitResult result = sessions[s].submit(spec);
+    ASSERT_TRUE(result.admitted()) << result.rejected.detail;
+    ++admitted[s];
+    window.push_back({result.graph, s});
+  }
+  while (!window.empty()) {
+    sessions[window.front().session].wait(window.front().graph);
+    window.pop_front();
+  }
+
+  std::uint64_t completed_tasks = 0;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const TenantStats stats = sessions[s].stats();
+    EXPECT_EQ(stats.admitted_graphs, admitted[s]) << "tenant " << s;
+    EXPECT_EQ(stats.rejected_graphs, 0u) << "tenant " << s;
+    EXPECT_EQ(stats.completed_graphs, admitted[s]) << "tenant " << s;
+    EXPECT_EQ(stats.completed_tasks, admitted[s] * kTasksPerGraph)
+        << "tenant " << s;
+    EXPECT_EQ(stats.in_flight_tasks, 0u) << "tenant " << s;
+    EXPECT_EQ(stats.in_flight_bytes, 0u) << "tenant " << s;
+    completed_tasks += stats.completed_tasks;
+  }
+  EXPECT_EQ(admitted[0] + admitted[1], kGraphs);
+  EXPECT_EQ(executed.load(), completed_tasks);
+  EXPECT_EQ(svc.runtime().data_directory().live_region_count(), 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -322,6 +323,40 @@ TEST(VersaService, UnknownTenantAndShutdownRejections) {
   // In-flight graphs keep running across shutdown.
   s.wait(live.graph);
   EXPECT_EQ(s.stats().completed_graphs, 1u);
+}
+
+// A retire's liveness scan starts at the graph's oldest-unfinished
+// watermark. With graphs retired oldest first, everything before the
+// oldest in-flight graph has finished, so the scan never covers more than
+// the tasks still in flight however long the service has run.
+TEST(VersaService, RetireScansOnlyInFlightTasks) {
+  constexpr std::size_t kGraphs = 200;
+  constexpr std::size_t kWindow = 4;
+  constexpr std::size_t kTasksPerGraph = 4;
+  ServiceFixture fx;
+  Session s = fx.svc.open_session("churn", {});
+  const GraphSpec spec = chain_spec(fx.work, kTasksPerGraph);
+  const TaskGraph& graph = fx.svc.runtime().task_graph();
+  std::deque<GraphId> window;
+  for (std::size_t i = 0; i < kGraphs; ++i) {
+    if (window.size() == kWindow) {
+      s.wait(window.front());
+      window.pop_front();
+      ASSERT_LE(graph.size() - graph.oldest_unfinished(),
+                window.size() * kTasksPerGraph)
+          << "after " << i << " graphs";
+    }
+    const SubmitResult r = s.submit(spec);
+    ASSERT_TRUE(r.admitted());
+    window.push_back(r.graph);
+  }
+  while (!window.empty()) {
+    s.wait(window.front());
+    window.pop_front();
+  }
+  EXPECT_EQ(graph.size(), kGraphs * kTasksPerGraph);
+  EXPECT_EQ(graph.oldest_unfinished(), graph.size());
+  EXPECT_EQ(s.stats().completed_graphs, kGraphs);
 }
 
 TEST(VersaService, ProfilePublishAndWarmStartAcrossInstances) {

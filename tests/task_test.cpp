@@ -35,6 +35,16 @@ TEST(Access, RangeHelpers) {
   EXPECT_STREQ(to_string(AccessMode::kInOut), "inout");
 }
 
+TEST(Access, FirstClauseOfRegion) {
+  const AccessList list = {Access::in(4), Access::out(2), Access::inout(4),
+                           Access::in_range(2, 8, 8), Access::in(7)};
+  std::vector<bool> first;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    first.push_back(first_clause_of_region(list, i));
+  }
+  EXPECT_EQ(first, (std::vector<bool>{true, true, false, false, true}));
+}
+
 TEST(VersionRegistry, FirstVersionIsMain) {
   VersionRegistry reg;
   const TaskTypeId t = reg.declare_task("work");
@@ -341,6 +351,86 @@ TEST(TaskGraph, ResetDropsEverything) {
   graph.reset();
   EXPECT_EQ(graph.size(), 0u);
   EXPECT_TRUE(graph.all_finished());
+}
+
+// --- oldest-unfinished watermark -----------------------------------------
+
+/// Finish `id` through the scheduler path (created -> running -> finished).
+void finish(TaskGraph& graph, TaskId id) {
+  graph.task(id).state = TaskState::kRunning;
+  std::vector<TaskId> ready;
+  graph.mark_finished(id, 1.0, ready);
+}
+
+TEST(TaskGraphWatermark, AdvancesWithInOrderFinishes) {
+  TaskGraph graph;
+  EXPECT_EQ(graph.oldest_unfinished(), 0u);
+  for (int i = 0; i < 4; ++i) graph.create_task(0, {}, 0, "t");
+  EXPECT_EQ(graph.oldest_unfinished(), 0u);
+  for (TaskId id = 0; id < 4; ++id) {
+    finish(graph, id);
+    EXPECT_EQ(graph.oldest_unfinished(), id + 1);
+  }
+  EXPECT_EQ(graph.oldest_unfinished(), graph.size());
+  // A task created after everything finished is the new oldest.
+  graph.create_task(0, {}, 0, "late");
+  EXPECT_EQ(graph.oldest_unfinished(), 4u);
+  finish(graph, 4);
+  EXPECT_EQ(graph.oldest_unfinished(), 5u);
+}
+
+TEST(TaskGraphWatermark, OutOfOrderFinishWaitsForTheOldest) {
+  TaskGraph graph;
+  for (int i = 0; i < 5; ++i) graph.create_task(0, {}, 0, "t");
+  // Later tasks finish first: the watermark must stay on task 0.
+  finish(graph, 3);
+  finish(graph, 1);
+  finish(graph, 2);
+  EXPECT_EQ(graph.oldest_unfinished(), 0u);
+  // Task 0 finishing releases the whole finished run 1..3 at once.
+  finish(graph, 0);
+  EXPECT_EQ(graph.oldest_unfinished(), 4u);
+  finish(graph, 4);
+  EXPECT_EQ(graph.oldest_unfinished(), 5u);
+}
+
+TEST(TaskGraphWatermark, StubsMoveItLikeRunTasks) {
+  TaskGraph graph;
+  // 0: split shell, 1..2: its children, 3: fused host, 4: fused-away stub.
+  Task& shell = graph.create_task(0, {}, 0, "shell");
+  shell.split_children = 2;
+  shell.split_live = 2;
+  for (int i = 0; i < 2; ++i) {
+    graph.create_task(1, {}, 0, "child").split_parent = shell.id;
+  }
+  graph.create_task(2, {}, 0, "host");
+  graph.create_task(0, {}, 0, "stub").fused_into = 3;
+
+  // The fuse window retires its stubs before the host runs.
+  graph.finish_stub(4, 0.5);
+  EXPECT_EQ(graph.oldest_unfinished(), 0u);
+  finish(graph, 1);
+  finish(graph, 2);
+  EXPECT_EQ(graph.oldest_unfinished(), 0u);  // the shell still pins it
+  // The last child retires the shell.
+  graph.finish_stub(0, 1.0);
+  EXPECT_EQ(graph.oldest_unfinished(), 3u);
+  finish(graph, 3);
+  EXPECT_EQ(graph.oldest_unfinished(), 5u);
+  EXPECT_TRUE(graph.all_finished());
+}
+
+TEST(TaskGraphWatermark, ResetRewindsIt) {
+  TaskGraph graph;
+  for (int i = 0; i < 3; ++i) graph.create_task(0, {}, 0, "t");
+  for (TaskId id = 0; id < 3; ++id) finish(graph, id);
+  EXPECT_EQ(graph.oldest_unfinished(), 3u);
+  graph.reset();
+  EXPECT_EQ(graph.oldest_unfinished(), 0u);
+  graph.create_task(0, {}, 0, "t");
+  EXPECT_EQ(graph.oldest_unfinished(), 0u);
+  finish(graph, 0);
+  EXPECT_EQ(graph.oldest_unfinished(), 1u);
 }
 
 TEST(Task, DataSetSizeFieldDefaults) {
