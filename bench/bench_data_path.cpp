@@ -1,16 +1,22 @@
-// Micro-benchmarks (google-benchmark) for the concurrent data path:
-// how fast placement code can price transfers now that directory
-// lookups no longer ride the runtime lock.
+// Micro-benchmarks (google-benchmark) for the concurrent data path: the
+// DataDirectory locks, per operation, the shards its regions live in
+// (ascending shard order) and holds them until it finishes.
 //
-// The headline comparison is BM_TransferCostSharded (the sharded,
-// epoch-versioned read path, N threads querying at once) against
-// BM_TransferCostGlobalMutex, which re-creates the pre-refactor
-// arrangement where every lookup serialized on one big mutex — the
-// sharded path should hold per-thread throughput roughly flat from 1
-// to 8 threads while the global-mutex baseline collapses.
-// BM_ReadersUnderChurn keeps one thread mutating the directory while
-// the rest read, exercising the seqlock retry path that placement's
-// epoch re-validation depends on.
+// The rows that match runtime traffic are the mixed ones. Placement
+// prices candidates from one thread at a time (task_ready runs under the
+// runtime lock) while workers and the prefetch thread acquire:
+//  * BM_PlacementReaderUnderMutators — one transfer_cost reader plus N-1
+//    mutators on disjoint region pairs; counts the reader's queries only.
+//  * BM_ConcurrentMutatorsPerShard — N mutators on disjoint pairs in
+//    uncapped spaces (each locks only its own shards).
+//  * BM_ConcurrentMutatorsCapped — the same in capacity-limited spaces,
+//    where every acquire locks all shards (eviction may pick any region).
+//  * BM_ReadersUnderChurn — one mutator, N-1 readers.
+// BM_TransferCostSharded (N concurrent readers, no writer) and
+// BM_TransferCostGlobalMutex (the same queries serialized on one mutex,
+// the arrangement before the directory left the runtime lock) bound the
+// read path from above and below; no runtime path issues N concurrent
+// pricing reads.
 #include <benchmark/benchmark.h>
 
 #include "bench_context.h"
@@ -122,8 +128,7 @@ BENCHMARK(BM_TransferCostGlobalMutex)
 
 /// Thread 0 mutates (read-mode acquires bouncing copies between
 /// spaces), the rest price transfers concurrently: read throughput
-/// under writer churn, i.e. the seqlock retry + epoch re-validation
-/// regime placement actually runs in.
+/// under writer churn.
 void BM_ReadersUnderChurn(benchmark::State& state) {
   SharedDirectory& sh = shared();
   if (state.thread_index() == 0) {
@@ -150,16 +155,13 @@ void BM_ReadersUnderChurn(benchmark::State& state) {
 BENCHMARK(BM_ReadersUnderChurn)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime();
 
-// --- Concurrent mutators: per-shard epochs vs the global-epoch path ----
+// --- Concurrent mutators: uncapped (own shards) vs capped (all shards) --
 //
-// Each thread owns a disjoint region pair and performs inout acquires
-// bouncing between the two device spaces. With capacity-0 (uncapped)
-// spaces the directory routes acquires through the parallel mutator path
-// (shared lock + per-shard epoch marks), so disjoint-region mutators
-// commit concurrently; with capped spaces every acquire takes the
-// directory lock exclusively and ticks the global epoch — the
-// pre-per-shard arrangement. The per-shard curve should scale with
-// threads while the exclusive baseline serializes.
+// Each mutator thread owns a disjoint region pair and performs inout
+// acquires bouncing between the two device spaces. In capacity-0
+// (uncapped) spaces an acquire locks only the shards of its own pair, so
+// disjoint mutators commit concurrently; in capped spaces every acquire
+// locks all shards and they serialize.
 
 constexpr std::size_t kMutatorMaxThreads = 8;
 constexpr std::size_t kMutatorRegionsPerThread = 2;
@@ -194,8 +196,8 @@ struct MutatorPool {
 };
 
 void run_mutators(benchmark::State& state, MutatorPool& pool) {
-  // Disjoint ownership: thread t mutates only its own region pair, so
-  // with per-shard epochs the acquires have no logical conflicts.
+  // Disjoint ownership: thread t mutates only its own region pair, so the
+  // acquires have no logical conflicts.
   const std::size_t base = static_cast<std::size_t>(state.thread_index()) *
                            kMutatorRegionsPerThread;
   const AccessList accesses = {Access::inout(pool.regions[base]),
@@ -221,14 +223,49 @@ BENCHMARK(BM_ConcurrentMutatorsPerShard)
     ->Threads(8)
     ->UseRealTime();
 
-/// Baseline: capped spaces force every acquire through the exclusive
-/// directory lock + global epoch tick (capacity far above the working
-/// set, so no eviction runs — only the locking regime differs).
-void BM_ConcurrentMutatorsGlobalEpoch(benchmark::State& state) {
+/// Capped spaces: every acquire locks all shards (capacity far above the
+/// working set, so no eviction runs — only the lock set differs).
+void BM_ConcurrentMutatorsCapped(benchmark::State& state) {
   static MutatorPool pool(1ull << 40);
   run_mutators(state, pool);
 }
-BENCHMARK(BM_ConcurrentMutatorsGlobalEpoch)
+BENCHMARK(BM_ConcurrentMutatorsCapped)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->Threads(8)
+    ->UseRealTime();
+
+/// The runtime's traffic shape: thread 0 prices placements (transfer_cost
+/// over random pairs of the mutators' regions, as task_ready does under
+/// the runtime lock) while threads 1..N-1 run disjoint inout mutators.
+/// Only the reader's queries count as items.
+void BM_PlacementReaderUnderMutators(benchmark::State& state) {
+  static MutatorPool pool(0);
+  if (state.thread_index() != 0) {
+    run_mutators(state, pool);
+    state.SetItemsProcessed(0);
+    return;
+  }
+  Rng rng(11);
+  std::vector<std::pair<AccessList, SpaceId>> probes;
+  probes.reserve(kProbes);
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    const RegionId a = pool.regions[rng.next_below(pool.regions.size())];
+    const RegionId b = pool.regions[rng.next_below(pool.regions.size())];
+    AccessList accesses = {Access::in(a)};
+    if (b != a) accesses.push_back(Access::in(b));
+    probes.emplace_back(std::move(accesses),
+                        static_cast<SpaceId>(1 + rng.next_below(2)));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [accesses, space] = probes[i++ % kProbes];
+    benchmark::DoNotOptimize(pool.directory.transfer_cost(accesses, space));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlacementReaderUnderMutators)
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -46,7 +46,6 @@ void TransferStats::record(TransferCategory category, std::uint64_t bytes) {
 
 TransferStats& TransferStats::operator+=(const TransferStats& other) {
   input_bytes += other.input_bytes;
-  consistent_fallback_count += other.consistent_fallback_count;
   output_bytes += other.output_bytes;
   device_bytes += other.device_bytes;
   input_count += other.input_count;
@@ -83,8 +82,6 @@ TransferStats AtomicTransferStats::snapshot() const {
   out.input_count = input_count_.load(std::memory_order_relaxed);
   out.output_count = output_count_.load(std::memory_order_relaxed);
   out.device_count = device_count_.load(std::memory_order_relaxed);
-  out.consistent_fallback_count =
-      consistent_fallbacks_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -95,7 +92,6 @@ void AtomicTransferStats::reset() {
   input_count_.store(0, std::memory_order_relaxed);
   output_count_.store(0, std::memory_order_relaxed);
   device_count_.store(0, std::memory_order_relaxed);
-  consistent_fallbacks_.store(0, std::memory_order_relaxed);
 }
 
 std::string TransferStats::summary() const {

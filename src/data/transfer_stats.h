@@ -31,10 +31,8 @@ struct TransferStats {
   std::uint64_t input_count = 0;
   std::uint64_t output_count = 0;
   std::uint64_t device_count = 0;
-  /// Consistent reads that exhausted their bounded seqlock retries and fell
-  /// back to the directory writer mutex (the non-starvation escape hatch;
-  /// sustained values signal write pressure worth investigating).
-  std::uint64_t consistent_fallback_count = 0;
+  /// Always 0; read only by perfbench/driver.cpp.
+  static constexpr std::uint64_t consistent_fallback_count = 0;
 
   void record(TransferCategory category, std::uint64_t bytes);
 
@@ -61,11 +59,6 @@ class AtomicTransferStats {
  public:
   void record(TransferCategory category, std::uint64_t bytes);
 
-  /// Count one writer-mutex fallback of the consistent-read path.
-  void record_consistent_fallback() {
-    consistent_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Plain-value snapshot for reporting (`Runtime::transfer_stats()`).
   TransferStats snapshot() const;
 
@@ -78,7 +71,6 @@ class AtomicTransferStats {
   std::atomic<std::uint64_t> input_count_{0};
   std::atomic<std::uint64_t> output_count_{0};
   std::atomic<std::uint64_t> device_count_{0};
-  std::atomic<std::uint64_t> consistent_fallbacks_{0};
 };
 
 }  // namespace versa

@@ -43,10 +43,10 @@ class ExecutorPort {
   /// methods need the runtime lock is part of the Scheduler contract.
   virtual Scheduler& port_scheduler() = 0;
   virtual TaskGraph& port_graph() VERSA_REQUIRES(port_mutex()) = 0;
-  /// The directory is internally synchronized (sharded `data`/`data.shard`
-  /// locks) — deliberately NOT annotated with the runtime capability, so
-  /// lookups, transfer_cost pricing, and prefetch acquires compile without
-  /// the runtime lock (the concurrent data path, DESIGN.md §9).
+  /// The directory is internally synchronized (`data.shard` locks) —
+  /// deliberately NOT annotated with the runtime capability, so lookups,
+  /// transfer_cost pricing, and prefetch acquires compile without the
+  /// runtime lock (the concurrent data path, DESIGN.md §9).
   virtual DataDirectory& port_directory() = 0;
   virtual const VersionRegistry& port_registry() = 0;
   virtual const Machine& port_machine() = 0;

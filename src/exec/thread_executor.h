@@ -14,7 +14,7 @@
 // for the pop_task fallback of policies with no lock-free path. The data
 // path is off the runtime lock too: directory acquires (both the
 // prefetch-intent drain and the executing worker's staging) and argument
-// resolution run on the directory's own data/data.shard classes, with
+// resolution run on the directory's own data.shard locks, with
 // Task::acquired_space CAS-arbitrating which side stages each task.
 // Sleeping and waking go through a dedicated wake mutex (class
 // kLockRankExecWake, the innermost lock) and an epoch counter: a worker

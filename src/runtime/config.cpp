@@ -1,29 +1,53 @@
 #include "runtime/config.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 
 #include "common/log.h"
 
 namespace versa {
+namespace {
+
+/// Parses all of `text` as a T. Rejects empty input, trailing characters,
+/// out-of-range values and a sign on an unsigned T.
+template <typename T>
+std::optional<T> parse_number(const char* text) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Sets `field` from the environment variable `name` when it is set to a
+/// number accepted by `valid`; any other value is ignored with a warning.
+template <typename T, typename Valid>
+void read_env_number(const char* name, T& field, Valid valid) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return;
+  const std::optional<T> value = parse_number<T>(text);
+  if (value && valid(*value)) {
+    field = *value;
+  } else {
+    VERSA_LOG(kWarn) << "ignoring invalid " << name << "=" << text;
+  }
+}
+
+}  // namespace
 
 RuntimeConfig apply_env_overrides(RuntimeConfig config) {
+  const auto any = [](auto) { return true; };
   if (const char* name = std::getenv("VERSA_SCHEDULER")) {
     config.scheduler = name;
   }
-  if (const char* lambda = std::getenv("VERSA_LAMBDA")) {
-    const long value = std::strtol(lambda, nullptr, 10);
-    if (value >= 1) {
-      config.profile.lambda = static_cast<std::uint32_t>(value);
-    } else {
-      VERSA_LOG(kWarn) << "ignoring invalid VERSA_LAMBDA=" << lambda;
-    }
-  }
+  read_env_number("VERSA_LAMBDA", config.profile.lambda,
+                  [](std::uint32_t value) { return value >= 1; });
   if (const char* prefetch = std::getenv("VERSA_PREFETCH")) {
     config.prefetch = std::string(prefetch) != "0";
   }
-  if (const char* seed = std::getenv("VERSA_SEED")) {
-    config.seed = std::strtoull(seed, nullptr, 10);
-  }
+  read_env_number("VERSA_SEED", config.seed, any);
   if (const char* path = std::getenv("VERSA_PROFILE_LOAD")) {
     config.profile_load_path = path;
   }
@@ -33,15 +57,8 @@ RuntimeConfig apply_env_overrides(RuntimeConfig config) {
   if (const char* drift = std::getenv("VERSA_DRIFT")) {
     config.profile.drift.enabled = std::string(drift) != "0";
   }
-  if (const char* threshold = std::getenv("VERSA_DRIFT_THRESHOLD")) {
-    const double value = std::strtod(threshold, nullptr);
-    if (value > 0.0) {
-      config.profile.drift.threshold = value;
-    } else {
-      VERSA_LOG(kWarn) << "ignoring invalid VERSA_DRIFT_THRESHOLD="
-                       << threshold;
-    }
-  }
+  read_env_number("VERSA_DRIFT_THRESHOLD", config.profile.drift.threshold,
+                  [](double value) { return value > 0.0; });
   if (const char* trace = std::getenv("VERSA_SCHED_TRACE")) {
     config.sched_trace = std::string(trace) != "0";
   }
@@ -56,24 +73,7 @@ RuntimeConfig apply_env_overrides(RuntimeConfig config) {
       VERSA_LOG(kWarn) << "ignoring invalid VERSA_SANITIZE=" << mode;
     }
   }
-  if (const char* budget = std::getenv("VERSA_PREFETCH_BUDGET")) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(budget, &end, 10);
-    if (end != budget && *end == '\0') {
-      config.prefetch_budget = value;
-    } else {
-      VERSA_LOG(kWarn) << "ignoring invalid VERSA_PREFETCH_BUDGET=" << budget;
-    }
-  }
-  if (const char* retries = std::getenv("VERSA_READ_RETRIES")) {
-    char* end = nullptr;
-    const long value = std::strtol(retries, &end, 10);
-    if (end != retries && *end == '\0' && value >= 0) {
-      config.consistent_read_retries = static_cast<int>(value);
-    } else {
-      VERSA_LOG(kWarn) << "ignoring invalid VERSA_READ_RETRIES=" << retries;
-    }
-  }
+  read_env_number("VERSA_PREFETCH_BUDGET", config.prefetch_budget, any);
   return config;
 }
 

@@ -16,9 +16,9 @@
 //   VERSA_SANITIZE         — off | spec | race, dependence-spec sanitizer
 //   VERSA_PREFETCH_BUDGET  — bytes of in-flight placement-time prefetch
 //                            allowed per memory space (0 = unlimited)
-//   VERSA_READ_RETRIES     — bounded seqlock retries of the directory's
-//                            consistent-read path before the writer-mutex
-//                            fallback
+//
+// Numeric values must parse whole (no sign on unsigned values, no
+// trailing characters); an invalid value is ignored with a warning.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +53,8 @@ struct RuntimeConfig {
   /// is virtual-time-modelled).
   std::uint64_t prefetch_budget = 0;
 
-  /// Bounded retry count of DataDirectory::read_consistent before it
-  /// falls back to the writer mutex (counted in the transfer stats).
-  /// Plumbed into DataDirectory::set_consistent_read_retries.
-  int consistent_read_retries = 8;
+  /// Always 0; read only by perfbench/driver.cpp.
+  static constexpr int consistent_read_retries = 0;
 
   sim::NoiseConfig noise;
   std::uint64_t seed = 42;

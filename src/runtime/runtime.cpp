@@ -59,7 +59,6 @@ Runtime::Runtime(const Machine& machine, RuntimeConfig config)
       break;
     }
   }
-  directory_.set_consistent_read_retries(config_.consistent_read_retries);
   executor_->attach(*this);
   VERSA_LOG(kInfo) << "runtime up: " << machine_.summary() << ", scheduler="
                    << scheduler_->name();

@@ -20,24 +20,19 @@ void DependencyAnalyzer::split_at(IntervalMap& map, std::uint64_t pos) {
   map.emplace(pos, std::move(right));
 }
 
-// The dynamic lock set (one mutex per shard the access list touches, in
-// ascending shard-index order) is beyond what the static analysis can
-// follow; the runtime rank checker still validates every acquisition.
+// The dynamic lock set (ShardLockSet over the shards the access list
+// touches) is beyond what the static analysis can follow; the runtime rank
+// checker still validates every acquisition.
 void DependencyAnalyzer::add_task(TaskId task, const AccessList& accesses,
                                   std::vector<TaskId>& preds)
     VERSA_NO_THREAD_SAFETY_ANALYSIS {
-  // Collect the shards this task touches and lock them in ascending shard
-  // index. All shard mutexes share the (reentrant) analyzer.shard class,
-  // and every thread uses the same order, so the nesting cannot deadlock.
-  std::array<bool, kShardCount> touched{};
+  std::uint64_t touched = 0;
   for (const Access& access : accesses) {
     VERSA_CHECK_MSG(access.length > 0,
                     "access length must be resolved before analysis");
-    touched[access.region % kShardCount] = true;
+    touched |= std::uint64_t{1} << (access.region % kShardCount);
   }
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    if (touched[i]) shards_[i].mutex.lock();
-  }
+  ShardLockSet lock(shards_, touched);
 
   const std::size_t preds_begin = preds.size();
   for (const Access& access : accesses) {
@@ -109,10 +104,6 @@ void DependencyAnalyzer::add_task(TaskId task, const AccessList& accesses,
   std::sort(preds.begin() + preds_begin, preds.end());
   preds.erase(std::unique(preds.begin() + preds_begin, preds.end()),
               preds.end());
-
-  for (std::size_t i = kShardCount; i-- > 0;) {
-    if (touched[i]) shards_[i].mutex.unlock();
-  }
 }
 
 void DependencyAnalyzer::clear_region(RegionId region) {

@@ -14,14 +14,14 @@
 // `region % kShardCount` — the same striping the DataDirectory uses — so
 // producers registering tasks over disjoint regions take only their shard
 // mutexes (class analyzer.shard, rank 16, below sched.submit) and proceed
-// in parallel. A task whose accesses span several shards locks them in
-// ascending shard-index order (the class is marked reentrant so the
-// rank checker accepts the same-class nesting; the fixed order rules out
-// deadlock). Program order still matters *per region chain*: two tasks
-// whose accesses overlap must have their add_task calls ordered by the
-// caller (the runtime serializes same-graph submission), but tasks over
-// disjoint regions may register concurrently — the predecessor sets then
-// equal those of any serial interleaving.
+// in parallel. A task whose accesses span several shards locks them
+// through ShardLockSet, in ascending shard-index order (the class is
+// marked reentrant so the rank checker accepts the same-class nesting;
+// the fixed order rules out deadlock). Program order still matters *per
+// region chain*: two tasks whose accesses overlap must have their add_task
+// calls ordered by the caller (the runtime serializes same-graph
+// submission), but tasks over disjoint regions may register concurrently
+// — the predecessor sets then equal those of any serial interleaving.
 #pragma once
 
 #include <array>

@@ -24,9 +24,10 @@
 // which matches how every caller reasons about predicates.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 
 #include "util/lock_order.h"
 
@@ -43,10 +44,6 @@
 #define VERSA_PT_GUARDED_BY(x) VERSA_TSA_ATTR__(pt_guarded_by(x))
 #define VERSA_ACQUIRE(...) VERSA_TSA_ATTR__(acquire_capability(__VA_ARGS__))
 #define VERSA_RELEASE(...) VERSA_TSA_ATTR__(release_capability(__VA_ARGS__))
-#define VERSA_ACQUIRE_SHARED(...) \
-  VERSA_TSA_ATTR__(acquire_shared_capability(__VA_ARGS__))
-#define VERSA_RELEASE_SHARED(...) \
-  VERSA_TSA_ATTR__(release_shared_capability(__VA_ARGS__))
 #define VERSA_TRY_ACQUIRE(...) \
   VERSA_TSA_ATTR__(try_acquire_capability(__VA_ARGS__))
 #define VERSA_REQUIRES(...) VERSA_TSA_ATTR__(requires_capability(__VA_ARGS__))
@@ -124,65 +121,7 @@ class VERSA_CAPABILITY("mutex") RecursiveMutex {
   const lock_order::LockClass* cls_;
 };
 
-/// Reader-writer mutex with a named lock class. Exclusive holders get the
-/// full capability; shared holders get the read-side capability (the
-/// analysis permits only const access to fields GUARDED_BY it). The
-/// lock-order checker records shared and exclusive acquisitions alike —
-/// rank discipline is about *what a thread waits on*, which is identical
-/// for both modes.
-class VERSA_CAPABILITY("mutex") SharedMutex {
- public:
-  using native_type = std::shared_mutex;
-
-  explicit SharedMutex(const lock_order::LockClass& cls) : cls_(&cls) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() VERSA_ACQUIRE() {
-    lock_order::on_acquire(*cls_);
-    m_.lock();
-  }
-  void unlock() VERSA_RELEASE() {
-    m_.unlock();
-    lock_order::on_release(*cls_);
-  }
-  void lock_shared() VERSA_ACQUIRE_SHARED() {
-    lock_order::on_acquire(*cls_);
-    m_.lock_shared();
-  }
-  void unlock_shared() VERSA_RELEASE_SHARED() {
-    m_.unlock_shared();
-    lock_order::on_release(*cls_);
-  }
-
-  void assert_held() const VERSA_ASSERT_CAPABILITY(this) {
-    lock_order::assert_holds(*cls_);
-  }
-
-  const lock_order::LockClass& lock_class() const { return *cls_; }
-  native_type& native_handle() { return m_; }
-
- private:
-  native_type m_;
-  const lock_order::LockClass* cls_;
-};
-
-/// Scoped shared (reader) lock on a SharedMutex.
-class VERSA_SCOPED_CAPABILITY SharedLockGuard {
- public:
-  explicit SharedLockGuard(SharedMutex& m) VERSA_ACQUIRE_SHARED(m) : m_(m) {
-    m_.lock_shared();
-  }
-  ~SharedLockGuard() VERSA_RELEASE() { m_.unlock_shared(); }
-
-  SharedLockGuard(const SharedLockGuard&) = delete;
-  SharedLockGuard& operator=(const SharedLockGuard&) = delete;
-
- private:
-  SharedMutex& m_;
-};
-
-/// Scoped lock (std::lock_guard analogue) for either wrapper.
+/// Scoped lock (std::lock_guard analogue) for either mutex wrapper.
 template <typename MutexT>
 class VERSA_SCOPED_CAPABILITY BasicLockGuard {
  public:
@@ -225,9 +164,51 @@ class VERSA_SCOPED_CAPABILITY BasicUniqueLock {
   std::optional<std::unique_lock<typename MutexT::native_type>> native_;
 };
 
+/// Scoped lock over a dynamic subset of a sharded structure: locks the
+/// `mutex` member of every `shards[i]` whose bit i is set in `mask`, in
+/// ascending index order, and unlocks them in descending order. Every
+/// multi-shard critical section goes through this guard, so the one
+/// deadlock-freedom rule for same-class shard mutexes (ascending index)
+/// lives here. The shard lock class must be reentrant for the rank
+/// checker to accept the same-class nesting. A dynamic lock set is beyond
+/// the static analysis, so callers that touch guarded shard state under
+/// it are VERSA_NO_THREAD_SAFETY_ANALYSIS; the rank checker still
+/// validates every acquisition.
+template <typename Shards>
+class ShardLockSet {
+ public:
+  ShardLockSet(Shards& shards, std::uint64_t mask)
+      VERSA_NO_THREAD_SAFETY_ANALYSIS : shards_(shards) {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (((mask >> i) & 1) == 0) continue;
+      try {
+        shards_[i].mutex.lock();
+      } catch (...) {
+        release();
+        throw;
+      }
+      locked_ |= std::uint64_t{1} << i;
+    }
+  }
+  ~ShardLockSet() VERSA_NO_THREAD_SAFETY_ANALYSIS { release(); }
+
+  ShardLockSet(const ShardLockSet&) = delete;
+  ShardLockSet& operator=(const ShardLockSet&) = delete;
+
+ private:
+  void release() VERSA_NO_THREAD_SAFETY_ANALYSIS {
+    for (std::size_t i = shards_.size(); i-- > 0;) {
+      if ((locked_ >> i) & 1) shards_[i].mutex.unlock();
+    }
+    locked_ = 0;
+  }
+
+  Shards& shards_;
+  std::uint64_t locked_ = 0;
+};
+
 using LockGuard = BasicLockGuard<Mutex>;
 using RecursiveLockGuard = BasicLockGuard<RecursiveMutex>;
-using SharedMutexExclusiveGuard = BasicLockGuard<SharedMutex>;
 using UniqueLock = BasicUniqueLock<Mutex>;
 using RecursiveUniqueLock = BasicUniqueLock<RecursiveMutex>;
 

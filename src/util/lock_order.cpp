@@ -15,7 +15,9 @@ const LockClass kLockRankRuntime = {"runtime", 10, /*reentrant=*/true};
 const LockClass kLockRankSanitizerShard = {"sanitizer.shard", 11};
 const LockClass kLockRankSanitizerClock = {"sanitizer.clock", 12};
 const LockClass kLockRankData = {"data", 13};
-const LockClass kLockRankDataShard = {"data.shard", 14};
+// Reentrant, like analyzer.shard: a directory operation locks every shard
+// its regions live in, in ascending shard-index order (ShardLockSet).
+const LockClass kLockRankDataShard = {"data.shard", 14, /*reentrant=*/true};
 const LockClass kLockRankSanitizerState = {"sanitizer.state", 15};
 // Reentrant: a task spanning several analyzer shards acquires them in
 // ascending shard-index order; the checker sees same-class nesting.

@@ -40,8 +40,8 @@ extern const LockClass kLockRankProfileCache; ///< rank 8: SharedProfileCache
 extern const LockClass kLockRankRuntime;      ///< rank 10: Runtime::mutex_
 extern const LockClass kLockRankSanitizerShard; ///< rank 11: AccessSanitizer shadow-map shards
 extern const LockClass kLockRankSanitizerClock; ///< rank 12: AccessSanitizer clock table
-extern const LockClass kLockRankData;         ///< rank 13: DataDirectory writer / TransferEngine state
-extern const LockClass kLockRankDataShard;    ///< rank 14: DataDirectory region shards
+extern const LockClass kLockRankData;         ///< rank 13: TransferEngine state
+extern const LockClass kLockRankDataShard;    ///< rank 14: DataDirectory region shards (reentrant: an operation locks its shards in ascending index)
 extern const LockClass kLockRankSanitizerState; ///< rank 15: AccessSanitizer witness/violation state
 extern const LockClass kLockRankAnalyzerShard; ///< rank 16: DependencyAnalyzer region shards (reentrant: multi-shard tasks lock ascending shard index)
 extern const LockClass kLockRankSubmit;       ///< rank 17: per-worker submission buffers

@@ -172,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryPropertyTest,
 // after some *prefix* of the plan — and because both pair members are
 // acquired together, every prefix state prices the pair as 0 or its full
 // size. Observing half the pair means a read linearized inside an
-// acquire, which the epoch protocol forbids. The final state must equal
+// acquire, which the shard-lock rule forbids. The final state must equal
 // the serial oracle replay of the full plan, pinning down that the
 // concurrent run linearized to the plan order itself.
 class DirectoryLinearizationTest
@@ -264,19 +264,17 @@ TEST_P(DirectoryLinearizationTest, ReadsLinearizeAgainstPairedAcquires) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryLinearizationTest,
                          ::testing::Values(11u, 22u, 33u));
 
-// Per-shard epoch protocol: uncapped spaces route acquires through the
-// parallel mutator path (shared directory lock + shard marks only), so
-// two writers over disjoint cross-shard pairs commit truly concurrently.
-// Readers must still never see half a pair, each writer's shard set must
-// advance its shard_epoch() aggregate, and — the per-shard payoff — a
-// mutator must NOT move the epochs of shards it never touched (the old
-// global counter moved for everyone).
-class DirectoryShardEpochTest : public ::testing::TestWithParam<std::uint64_t> {
-};
+// Disjoint-shard mutators: two writers over cross-shard pairs whose shard
+// sets do not overlap lock disjoint shard sets, so their acquires commit
+// concurrently. Readers must still never see half a pair, and because the
+// pairs share no region, the final state must equal the serial oracle
+// replay of both writers' plans.
+class DirectoryDisjointShardTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DirectoryShardEpochTest, ParallelMutatorsAdvanceOnlyTheirShards) {
+TEST_P(DirectoryDisjointShardTest, ParallelMutatorsMatchSerialOracle) {
   Machine::Builder builder;
-  const SpaceId g0 = builder.add_space("g0", 0);  // capacity 0 = parallel path
+  const SpaceId g0 = builder.add_space("g0", 0);  // capacity 0 = uncapped
   const SpaceId g1 = builder.add_space("g1", 0);
   const DeviceId d0 = builder.add_device(DeviceKind::kCuda, g0, "a", 1);
   const DeviceId d1 = builder.add_device(DeviceKind::kCuda, g1, "b", 1);
@@ -288,83 +286,95 @@ TEST_P(DirectoryShardEpochTest, ParallelMutatorsAdvanceOnlyTheirShards) {
   const Machine machine = builder.build();
 
   DataDirectory directory(machine);
+  DirectoryOracle oracle(machine.space_count());
   constexpr std::uint64_t kBytes = 512;
   // Sequential registration gives region ids 0..3, i.e. shards 0..3: each
   // writer's pair spans two shards and the two pairs' shard sets are
-  // disjoint.
-  const RegionId a0 = directory.register_region("a0", kBytes);
-  const RegionId a1 = directory.register_region("a1", kBytes);
-  const RegionId b0 = directory.register_region("b0", kBytes);
-  const RegionId b1 = directory.register_region("b1", kBytes);
-  const AccessList pair_a = {Access::inout(a0), Access::inout(b0)};
-  const AccessList pair_b = {Access::inout(a1), Access::inout(b1)};
-  const std::uint64_t mask_a = DataDirectory::shard_mask(pair_a);
-  const std::uint64_t mask_b = DataDirectory::shard_mask(pair_b);
-  ASSERT_EQ(mask_a & mask_b, 0u) << "pairs must live on disjoint shards";
-
-  // Isolation: a serial acquire over pair A moves A's shard aggregate and
-  // leaves B's untouched.
-  {
-    const std::uint64_t before_a = directory.shard_epoch(mask_a);
-    const std::uint64_t before_b = directory.shard_epoch(mask_b);
-    TransferList ops;
-    directory.acquire(pair_a, g0, ops);
-    EXPECT_GT(directory.shard_epoch(mask_a), before_a);
-    EXPECT_EQ(directory.shard_epoch(mask_b), before_b);
+  // disjoint ({0, 2} and {1, 3}).
+  std::vector<RegionId> ids;
+  for (const char* name : {"a0", "a1", "b0", "b1"}) {
+    ids.push_back(directory.register_region(name, kBytes));
+    oracle.add_region(ids.back(), kBytes);
   }
+  const std::vector<RegionId> pair_a = {ids[0], ids[2]};
+  const std::vector<RegionId> pair_b = {ids[1], ids[3]};
 
-  const std::uint64_t epoch_a_start = directory.shard_epoch(mask_a);
-  const std::uint64_t epoch_b_start = directory.shard_epoch(mask_b);
-  const std::uint64_t folded_start = directory.mutation_epoch();
-
+  struct Step {
+    SpaceId space;
+    AccessMode mode;
+  };
   constexpr int kSteps = 300;
+  std::vector<std::vector<Step>> plans(2);
+  for (std::size_t w = 0; w < plans.size(); ++w) {
+    Rng rng(GetParam() * 7u + w);
+    for (int i = 0; i < kSteps; ++i) {
+      plans[w].push_back(Step{
+          static_cast<SpaceId>(rng.next_below(machine.space_count())),
+          rng.next_below(3) == 0 ? AccessMode::kIn : AccessMode::kInOut});
+    }
+  }
+  auto accesses_of = [](const std::vector<RegionId>& pair, AccessMode mode) {
+    return AccessList{Access{pair[0], mode, 0, 0},
+                      Access{pair[1], mode, 0, 0}};
+  };
+
   std::atomic<bool> stop{false};
   std::atomic<long> torn{0};
   std::vector<std::thread> threads;
-  for (int w = 0; w < 2; ++w) {
-    const AccessList& accesses = w == 0 ? pair_a : pair_b;
-    threads.emplace_back([&directory, &accesses, w, seed = GetParam()] {
-      Rng writer_rng(seed * 7u + static_cast<std::uint64_t>(w));
-      for (int i = 0; i < kSteps; ++i) {
-        const SpaceId space = writer_rng.next_below(2) == 0 ? 1 : 2;
+  for (std::size_t w = 0; w < plans.size(); ++w) {
+    threads.emplace_back([&, w] {
+      const std::vector<RegionId>& pair = w == 0 ? pair_a : pair_b;
+      for (const Step& step : plans[w]) {
         TransferList ops;
-        directory.acquire(accesses, space, ops);
+        directory.acquire(accesses_of(pair, step.mode), step.space, ops);
       }
     });
   }
   threads.emplace_back([&] {
     Rng reader_rng(GetParam() ^ 0x5a5au);
-    while (!stop.load(std::memory_order_acquire)) {
-      const AccessList& probe = reader_rng.next_below(2) == 0 ? pair_a
-                                                              : pair_b;
+    do {
+      const std::vector<RegionId>& pair =
+          reader_rng.next_below(2) == 0 ? pair_a : pair_b;
       const SpaceId s =
           static_cast<SpaceId>(reader_rng.next_below(machine.space_count()));
-      const std::uint64_t valid = directory.bytes_valid(probe, s);
+      const std::uint64_t valid =
+          directory.bytes_valid(accesses_of(pair, AccessMode::kIn), s);
       if (valid != 0 && valid != 2 * kBytes) {
         torn.fetch_add(1, std::memory_order_relaxed);
       }
-    }
+    } while (!stop.load(std::memory_order_acquire));
   });
   threads[0].join();
   threads[1].join();
   stop.store(true, std::memory_order_release);
   threads[2].join();
-
   EXPECT_EQ(torn.load(), 0);
-  // Both writers' shard sets moved; the folded legacy counter is the sum
-  // of the per-shard movement (no exclusive mutator ran concurrently).
-  const std::uint64_t delta_a = directory.shard_epoch(mask_a) - epoch_a_start;
-  const std::uint64_t delta_b = directory.shard_epoch(mask_b) - epoch_b_start;
-  EXPECT_GE(delta_a, 2u * kSteps);  // begin+end mark per acquire, at least
-  EXPECT_GE(delta_b, 2u * kSteps);
-  EXPECT_EQ(directory.mutation_epoch() - folded_start, delta_a + delta_b);
-  // Every shard neither pair touches never moved.
-  const std::uint64_t untouched = ~(mask_a | mask_b) &
-                                  ((1u << DataDirectory::kShardCount) - 1u);
-  EXPECT_EQ(directory.shard_epoch(untouched), 0u);
+
+  // The pairs share no region, so replaying one plan after the other is a
+  // valid serialization of the concurrent run.
+  for (std::size_t w = 0; w < plans.size(); ++w) {
+    for (const Step& step : plans[w]) {
+      oracle.acquire(accesses_of(w == 0 ? pair_a : pair_b, step.mode),
+                     step.space);
+    }
+  }
+  std::vector<std::uint64_t> used(machine.space_count(), 0);
+  for (const auto& [id, want] : oracle.regions()) {
+    for (SpaceId s = 0; s < machine.space_count(); ++s) {
+      EXPECT_EQ(directory.is_valid_in(id, s), want.valid.count(s) != 0)
+          << "region " << id << " space " << s;
+    }
+    EXPECT_EQ(directory.dirty_space(id), want.dirty) << "region " << id;
+    for (const SpaceId s : want.valid) {
+      used[s] += want.size;
+    }
+  }
+  for (SpaceId s = 0; s < machine.space_count(); ++s) {
+    EXPECT_EQ(directory.used_bytes(s), used[s]) << "space " << s;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryShardEpochTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryDisjointShardTest,
                          ::testing::Values(7u, 77u, 777u));
 
 }  // namespace

@@ -283,6 +283,40 @@ TEST(EnvOverrides, ApplyFromEnvironment) {
 
   config = apply_env_overrides({});
   EXPECT_EQ(config.scheduler, "versioning");
+
+  // Numeric values must parse whole; an invalid one keeps the default.
+  const RuntimeConfig defaults;
+  setenv("VERSA_PREFETCH_BUDGET", "-1", 1);  // no sign on unsigned values
+  setenv("VERSA_SEED", "abc", 1);
+  setenv("VERSA_LAMBDA", "7x", 1);
+  setenv("VERSA_DRIFT_THRESHOLD", "0.5x", 1);
+  config = apply_env_overrides({});
+  EXPECT_EQ(config.prefetch_budget, defaults.prefetch_budget);
+  EXPECT_EQ(config.seed, defaults.seed);
+  EXPECT_EQ(config.profile.lambda, defaults.profile.lambda);
+  EXPECT_EQ(config.profile.drift.threshold, defaults.profile.drift.threshold);
+
+  setenv("VERSA_PREFETCH_BUDGET", "18446744073709551616", 1);  // 2^64
+  setenv("VERSA_SEED", "", 1);
+  setenv("VERSA_LAMBDA", "0", 1);  // below the minimum of 1
+  setenv("VERSA_DRIFT_THRESHOLD", "-0.5", 1);
+  config = apply_env_overrides({});
+  EXPECT_EQ(config.prefetch_budget, defaults.prefetch_budget);
+  EXPECT_EQ(config.seed, defaults.seed);
+  EXPECT_EQ(config.profile.lambda, defaults.profile.lambda);
+  EXPECT_EQ(config.profile.drift.threshold, defaults.profile.drift.threshold);
+
+  setenv("VERSA_PREFETCH_BUDGET", "4096", 1);
+  setenv("VERSA_SEED", "18446744073709551615", 1);
+  setenv("VERSA_DRIFT_THRESHOLD", "0.5", 1);
+  config = apply_env_overrides({});
+  EXPECT_EQ(config.prefetch_budget, 4096u);
+  EXPECT_EQ(config.seed, 18446744073709551615u);
+  EXPECT_EQ(config.profile.drift.threshold, 0.5);
+  unsetenv("VERSA_PREFETCH_BUDGET");
+  unsetenv("VERSA_SEED");
+  unsetenv("VERSA_LAMBDA");
+  unsetenv("VERSA_DRIFT_THRESHOLD");
 }
 
 }  // namespace

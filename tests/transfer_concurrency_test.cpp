@@ -1,10 +1,10 @@
 // Concurrency tests for the off-runtime-lock data path, written for the
 // CI thread-sanitizer job (run there with VERSA_LOCK_ORDER=1): producer
 // threads mutate the coherence directory through acquire() while reader
-// threads price placements through the consistent-read queries, with the
+// threads price placements through the multi-region queries, with the
 // lock-order checker enforced and a counting violation handler installed.
 //
-// Three guarantees are pinned down, beyond surviving TSan:
+// Four guarantees are pinned down, beyond surviving TSan:
 //  * Consistency — a reader can never observe half of an acquire. Each
 //    producer always acquires its two regions together, so any pair
 //    aggregate (bytes_valid / bytes_missing) must be 0 or the full pair
@@ -13,6 +13,9 @@
 //    region's transfer sequence is interleaving-independent; the
 //    concurrent run's transfer accounting must equal the sum of serial
 //    replays of each producer's plan against a private directory.
+//  * Eviction — acquires into a capacity-limited space (which lock every
+//    shard and may evict any region) race uncapped acquires and readers
+//    and still leave the residency accounting exact.
 //  * The TransferEngine's lock-free aggregate mirrors (routed_bytes,
 //    record_count) stay exact under concurrent enqueuers and are
 //    readable while the enqueuers are still running.
@@ -62,9 +65,11 @@ class LockOrderGuard {
   lock_order::ViolationHandler previous_;
 };
 
-Machine make_two_gpu_machine() {
+/// Host plus two GPU spaces; `g0_capacity` bytes caps g0 (0 = unlimited,
+/// the default for both).
+Machine make_two_gpu_machine(std::uint64_t g0_capacity = 0) {
   Machine::Builder builder;
-  const SpaceId g0 = builder.add_space("g0", 0);  // capacity 0 = unlimited
+  const SpaceId g0 = builder.add_space("g0", g0_capacity);
   const SpaceId g1 = builder.add_space("g1", 0);
   const DeviceId d0 = builder.add_device(DeviceKind::kCuda, g0, "a", 1);
   const DeviceId d1 = builder.add_device(DeviceKind::kCuda, g1, "b", 1);
@@ -231,21 +236,15 @@ TEST(TransferConcurrency, ProducersAndReadersSeeConsistentSnapshots) {
   EXPECT_EQ(concurrent.device_count, reference.device_count);
 }
 
-TEST(TransferConcurrency, WriterMutexFallbackIsCountedAndDoesNotStarve) {
+TEST(TransferConcurrency, ReadersUnderMutatorBarrageFinishUntorn) {
   LockOrderGuard lock_order_guard;
   const Machine machine = make_two_gpu_machine();
   DataDirectory directory(machine);
 
-  // Retries = 0 forces EVERY consistent read straight to the writer-mutex
-  // fallback. The fallback takes the directory mutex exclusively, which
-  // excludes the (shared-holding) parallel acquirers — so each read holds
-  // a stable snapshot and is guaranteed to terminate even under a
-  // continuous mutator barrage. The test pins both halves: the fallback
-  // is *counted* (transfer stats) and *non-starving* (all reads finish
-  // and still see untorn pair aggregates).
-  directory.set_consistent_read_retries(0);
-  ASSERT_EQ(directory.consistent_read_retries(), 0);
-
+  // One producer hammers a single pair while readers price it. Each read
+  // locks the pair's shards, so it sees a stable state and terminates
+  // even under a continuous mutator barrage; the test pins both halves:
+  // every read finishes and sees an untorn pair aggregate.
   constexpr std::uint64_t kRegionBytes = 1 << 12;
   constexpr std::uint64_t kPairBytes = 2 * kRegionBytes;
   const RegionId a = directory.register_region("a", kRegionBytes);
@@ -267,8 +266,8 @@ TEST(TransferConcurrency, WriterMutexFallbackIsCountedAndDoesNotStarve) {
     readers.emplace_back([&, r] {
       Rng rng(40u + static_cast<std::uint64_t>(r));
       const AccessList probe = {Access::in(a), Access::in(b)};
-      // A fixed read count (not a stop flag): if the fallback could
-      // starve, this loop would hang and the test would time out.
+      // A fixed read count (not a stop flag): if a read could starve,
+      // this loop would hang and the test would time out.
       for (int i = 0; i < kReadsPerReader; ++i) {
         const SpaceId space =
             static_cast<SpaceId>(rng.next_below(machine.space_count()));
@@ -287,9 +286,126 @@ TEST(TransferConcurrency, WriterMutexFallbackIsCountedAndDoesNotStarve) {
 
   EXPECT_EQ(torn.load(), 0);
   EXPECT_EQ(reads_done.load(), kReaders * kReadsPerReader);
-  // Every read exhausted its (zero) retry budget before falling back.
-  EXPECT_GE(directory.stats().consistent_fallback_count,
-            static_cast<std::uint64_t>(kReaders * kReadsPerReader));
+}
+
+TEST(TransferConcurrency, EvictingAcquiresRaceUncappedAcquiresAndReaders) {
+  LockOrderGuard lock_order_guard;
+  constexpr std::uint64_t kRegionBytes = 1 << 12;
+  constexpr std::uint64_t kPairBytes = 2 * kRegionBytes;
+  // g0 holds three regions, so any pair acquire into it usually evicts
+  // another producer's copy; g1 and the host are unlimited.
+  constexpr std::uint64_t kCapacity = 3 * kRegionBytes;
+  const Machine machine = make_two_gpu_machine(kCapacity);
+  const SpaceId g0 = 1;
+  const SpaceId g1 = 2;
+  ASSERT_EQ(machine.space(g0).capacity, kCapacity);
+  DataDirectory directory(machine);
+
+  constexpr int kProducers = 4;
+  constexpr int kReaders = 2;
+  constexpr int kSteps = 2000;
+  std::vector<std::pair<RegionId, RegionId>> pairs;
+  for (int p = 0; p < kProducers; ++p) {
+    pairs.emplace_back(
+        directory.register_region("a" + std::to_string(p), kRegionBytes),
+        directory.register_region("b" + std::to_string(p), kRegionBytes));
+  }
+
+  // Every producer writes its pair (inout or out) into a random space, so
+  // each mixes evicting acquires into g0 with uncapped ones. Writes leave
+  // one valid copy; evictions only drop g0 copies (writing dirty ones back
+  // to the host), so g1 residency changes only with a whole-pair acquire:
+  // a pricing read against g1 must see 0 or the full pair.
+  //
+  // Producers start together so their acquires overlap even when thread
+  // start-up takes longer than a whole plan.
+  std::atomic<int> ready{0};
+  std::atomic<bool> stop{false};
+  std::atomic<long> torn{0};
+  std::atomic<long> over_capacity{0};
+  std::atomic<long> reads_done{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      Rng rng(3000u + static_cast<std::uint64_t>(p));
+      const auto [a, b] = pairs[static_cast<std::size_t>(p)];
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kProducers) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kSteps; ++i) {
+        const SpaceId space =
+            static_cast<SpaceId>(rng.next_below(machine.space_count()));
+        const AccessMode mode =
+            rng.next_below(4) == 0 ? AccessMode::kOut : AccessMode::kInOut;
+        TransferList ops;
+        directory.acquire({Access{a, mode, 0, 0}, Access{b, mode, 0, 0}},
+                          space, ops);
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(90u + static_cast<std::uint64_t>(r));
+      do {
+        const auto& pair = pairs[rng.next_below(pairs.size())];
+        const AccessList probe = {Access::in(pair.first),
+                                  Access::in(pair.second)};
+        const std::uint64_t valid = directory.bytes_valid(probe, g1);
+        const std::uint64_t missing = directory.bytes_missing(probe, g1);
+        const Duration cost = directory.transfer_cost(probe, g1);
+        const Duration full_pair =
+            1e-5 + static_cast<double>(kPairBytes) / 1e9;
+        if ((valid != 0 && valid != kPairBytes) ||
+            (missing != 0 && missing != kPairBytes) ||
+            (cost != 0.0 &&
+             (cost < 0.99 * full_pair || cost > 1.01 * full_pair))) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (directory.used_bytes(g0) > kCapacity) {
+          over_capacity.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads_done.fetch_add(1, std::memory_order_relaxed);
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+  for (int p = 0; p < kProducers; ++p) {
+    threads[static_cast<std::size_t>(p)].join();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::size_t t = kProducers; t < threads.size(); ++t) {
+    threads[t].join();
+  }
+
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(over_capacity.load(), 0);
+  EXPECT_GT(reads_done.load(), 0);
+  EXPECT_GT(directory.eviction_count(), 0u);
+
+  // Quiescent accounting: used_bytes(s) is exactly the bytes of the
+  // regions valid in s; every region has a valid copy; a dirty copy is
+  // the only valid one.
+  std::vector<std::uint64_t> used(machine.space_count(), 0);
+  for (const auto& [a, b] : pairs) {
+    for (const RegionId region : {a, b}) {
+      int copies = 0;
+      for (SpaceId s = 0; s < machine.space_count(); ++s) {
+        if (!directory.is_valid_in(region, s)) continue;
+        ++copies;
+        used[s] += kRegionBytes;
+      }
+      EXPECT_GE(copies, 1) << "region " << region;
+      const SpaceId dirty = directory.dirty_space(region);
+      if (dirty != kInvalidSpace) {
+        EXPECT_EQ(copies, 1) << "region " << region;
+        EXPECT_TRUE(directory.is_valid_in(region, dirty))
+            << "region " << region;
+      }
+    }
+  }
+  for (SpaceId s = 0; s < machine.space_count(); ++s) {
+    EXPECT_EQ(directory.used_bytes(s), used[s]) << "space " << s;
+  }
 }
 
 TEST(TransferConcurrency, ConcurrentFlushersAndAcquirersStayCoherent) {
