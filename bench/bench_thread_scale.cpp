@@ -17,19 +17,23 @@
 // every eighth op to show the split survives the stealing path without
 // collapsing (two shards touched, still no global serialization).
 //
-// The PR-4 producer-side pair: BM_SubmitBuffered drives buffer_push (the
-// kLockRankSubmit submission buffer) with a drain + pop-all every 16
-// submissions, i.e. the round-boundary publish; BM_SubmitRuntimeLock is
-// the pre-split producer — every push priority-inserted under one global
-// mutex the way push_to_worker used to ride the runtime lock. Acceptance
-// bar: buffered submission throughput beats the runtime-lock model from
-// 4 producers up.
+// The producer-side pair: BM_SubmitSharded drives WorkerQueues::push —
+// the one publication path push_to_worker uses, each placement
+// priority-inserted under its own shard's kLockRankQueue mutex — and pops
+// the run back out every 16 submissions; BM_SubmitRuntimeLock is the
+// pre-split producer, the same push + pop-16 cadence with every insert
+// serialized on one global mutex the way push_to_worker used to ride the
+// runtime lock. The pair shows that per-shard locks alone, with no
+// producer-side buffer stage, scale past the global mutex from 2
+// producers up. Thread counts above the host's core count are marked
+// "oversubscribed" in the label column: those rows measure timeslicing,
+// not lock scaling.
 //
 // Caveat for single-CPU hosts (some CI containers): with one core there
 // is no parallelism for a lock split to reclaim — contended threads
 // sleep on the futex and the lock holder runs uninterrupted, so the
 // global-mutex baselines flat-line at their 1-thread rate while the
-// uncontended sharded/buffered paths pay the timeslice round-robin tax.
+// uncontended sharded paths pay the timeslice round-robin tax.
 // On such hosts the split paths measure within noise of (or behind) the
 // global-mutex models at every thread count; the multi-producer bars are
 // meaningful on multicore hardware only. A committed
@@ -39,6 +43,7 @@
 
 #include <deque>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "bench_context.h"
@@ -58,6 +63,15 @@ QueueEntry make_entry(TaskId id) {
   e.priority = 0;
   e.estimate = 1e-3;
   return e;
+}
+
+/// Label rows whose thread count exceeds the host's cores: they measure
+/// timeslicing, not lock scaling.
+void mark_oversubscribed(benchmark::State& state) {
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores != 0 && static_cast<unsigned>(state.threads()) > cores) {
+    state.SetLabel("oversubscribed");
+  }
 }
 
 /// The pre-split shape: per-worker deques behind ONE mutex (the global
@@ -101,6 +115,7 @@ void BM_PopSharded(benchmark::State& state) {
     q->reset(kMaxThreads);
     return q;
   }();
+  mark_oversubscribed(state);
   const WorkerId worker = static_cast<WorkerId>(state.thread_index());
   TaskId next = 1;
   for (auto _ : state) {
@@ -115,6 +130,7 @@ void BM_PopSingleLock(benchmark::State& state) {
   static SingleLockQueues* queues = [] {
     return new SingleLockQueues(kMaxThreads);
   }();
+  mark_oversubscribed(state);
   const WorkerId worker = static_cast<WorkerId>(state.thread_index());
   TaskId next = 1;
   QueueEntry out;
@@ -132,6 +148,7 @@ void BM_PopShardedWithSteals(benchmark::State& state) {
     q->reset(kMaxThreads);
     return q;
   }();
+  mark_oversubscribed(state);
   const WorkerId worker = static_cast<WorkerId>(state.thread_index());
   const WorkerId victim =
       static_cast<WorkerId>((state.thread_index() + 1) % state.threads());
@@ -155,41 +172,40 @@ void BM_PopShardedWithSteals(benchmark::State& state) {
 }
 BENCHMARK(BM_PopShardedWithSteals)->ThreadRange(1, kMaxThreads)->UseRealTime();
 
-void BM_SubmitBuffered(benchmark::State& state) {
-  // The post-split producer: append to the shard's submission buffer (its
-  // own kLockRankSubmit mutex, no queue-mutex contention), publish with a
-  // drain every 16 submissions — the round-boundary cadence — and pop the
-  // batch back out to stay in steady state.
+void BM_SubmitSharded(benchmark::State& state) {
+  // The producer path push_to_worker uses: priority-insert straight into
+  // the shard (its own queue mutex, no global lock), popping the batch
+  // back out every 16 submissions to stay in steady state.
   static WorkerQueues* queues = [] {
     auto* q = new WorkerQueues;
     q->reset(kMaxThreads);
     return q;
   }();
+  mark_oversubscribed(state);
   const WorkerId worker = static_cast<WorkerId>(state.thread_index());
   TaskId next = 1;
   int op = 0;
   for (auto _ : state) {
-    queues->buffer_push(worker, make_entry(next++));
+    queues->push(worker, make_entry(next++));
     if (++op % 16 == 0) {
-      queues->drain(worker);
       while (queues->pop_front(worker)) {
       }
     }
   }
-  queues->drain(worker);
   while (queues->pop_front(worker)) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SubmitBuffered)->ThreadRange(1, kMaxThreads)->UseRealTime();
+BENCHMARK(BM_SubmitSharded)->ThreadRange(1, kMaxThreads)->UseRealTime();
 
 void BM_SubmitRuntimeLock(benchmark::State& state) {
   // The pre-split producer: every submission priority-inserts under ONE
   // global mutex (the runtime lock's role in the old push_to_worker), with
-  // the same batch-of-16 pop to mirror the buffered loop's consumption.
+  // the same batch-of-16 pop as BM_SubmitSharded.
   static SingleLockQueues* queues = [] {
     return new SingleLockQueues(kMaxThreads);
   }();
+  mark_oversubscribed(state);
   const WorkerId worker = static_cast<WorkerId>(state.thread_index());
   TaskId next = 1;
   int op = 0;

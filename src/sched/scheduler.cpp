@@ -76,7 +76,7 @@ std::uint64_t QueueScheduler::reprice_flushes() const {
 }
 
 std::uint64_t QueueScheduler::buffer_push_batches() const {
-  return queues_.batch_appends();
+  return queues_.push_count();
 }
 
 std::uint64_t QueueScheduler::price_group(const Task& task) const {
@@ -110,15 +110,11 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
         account_.on_push(task.id, core::PriceKey{task.type, version, group},
                          worker, info.estimate);
   }
-  // Producer side of the lock split: append to the shard's submission
-  // buffer (kLockRankSubmit only). The entry becomes poppable when the
-  // shard is drained — at the round boundary (ready_batch_done) or by the
-  // owner/thief in try_pop_queued; every task field above is written
-  // before this point, and the submit mutex pairs the writes with the
-  // draining thread's reads.
-  queues_.buffer_push(
-      worker, core::QueueEntry{task.id, task.type, version, task.priority,
-                               task.scheduler_estimate, group, task.tenant});
+  // Count and trace the placement before publishing it: once the entry
+  // is in the shard a worker may pop or steal it at once, and its pop
+  // must find pending_ already raised and its steal event must follow the
+  // placement event. Every task field above is written before the push;
+  // the shard mutex pairs the writes with the popping thread's reads.
   pending_.fetch_add(1, std::memory_order_relaxed);
   if (trace_.enabled()) {
     trace_.record(core::TraceEvent{
@@ -128,6 +124,9 @@ void QueueScheduler::push_to_worker(Task& task, VersionId version,
                       : core::TraceEventKind::kPlacement,
         task.tenant});
   }
+  queues_.push(worker,
+               core::QueueEntry{task.id, task.type, version, task.priority,
+                                task.scheduler_estimate, group, task.tenant});
   ctx_->task_assigned(task.id, worker);
 }
 
@@ -139,10 +138,6 @@ TaskId QueueScheduler::pop_task(WorkerId worker) {
 
 TaskId QueueScheduler::try_pop_queued(WorkerId worker) {
   VERSA_CHECK(worker < queues_.worker_count());
-  // Publish this shard's buffered placements first (submit(17) then
-  // queue(30); the account lock is not held here, so the rank order is
-  // respected).
-  queues_.drain(worker);
   if (std::optional<core::QueueEntry> entry = queues_.pop_front(worker)) {
     pending_.fetch_sub(1, std::memory_order_relaxed);
     versa::LockGuard lock(account_mutex_);
@@ -157,25 +152,11 @@ TaskId QueueScheduler::try_pop_queued(WorkerId worker) {
   return kInvalidTask;
 }
 
-void QueueScheduler::ready_batch_begin() {
-  // Open the staging window: buffer_push calls until ready_batch_done
-  // accumulate in producer-private runs instead of taking the submit
-  // mutex per task. Runtime-lock serialized (the batch brackets come
-  // from release_ready / port_failed).
-  queues_.begin_batch();
-}
-
 void QueueScheduler::ready_batch_done() {
   // Round boundary: apply the re-prices this round's completions
-  // coalesced, publish the staged runs (one submit-mutex acquisition per
-  // non-empty worker run), then drain the buffers into the shards. The
-  // account lock (20) is released before the queues take submit (16).
-  {
-    versa::LockGuard lock(account_mutex_);
-    flush_deferred_reprices();
-  }
-  queues_.end_batch();
-  queues_.drain_all();
+  // coalesced.
+  versa::LockGuard lock(account_mutex_);
+  flush_deferred_reprices();
 }
 
 TaskId QueueScheduler::steal_for(WorkerId thief) {
@@ -194,10 +175,6 @@ TaskId QueueScheduler::steal_for(WorkerId thief) {
     }
   }
   if (victim == kInvalidWorker || best == 0) return kInvalidTask;
-  // The victim's buffer may hold the work its length advertised — publish
-  // it so buffered placements are stealable (parity with the direct-push
-  // path; the account lock is not held here).
-  queues_.drain(victim);
   const std::optional<core::QueueEntry> entry = queues_.steal_back(victim);
   if (!entry) return kInvalidTask;  // raced away under a concurrent pop
   pending_.fetch_sub(1, std::memory_order_relaxed);

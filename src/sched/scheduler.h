@@ -68,12 +68,6 @@ class Scheduler {
 
   virtual void task_ready(Task& task) = 0;
 
-  /// Called once before each wave of task_ready calls (one submission, or
-  /// the successors released by one completion). Queue-backed policies
-  /// open a staging window here so the whole batch is appended to each
-  /// shard's submission buffer in one mutex round trip (ready_batch_done).
-  virtual void ready_batch_begin() {}
-
   /// Called once after each wave of task_ready calls (one submission, or
   /// the successors released by one completion). Batch-mapping policies
   /// (sufferage) decide here; per-task policies ignore it.
@@ -141,28 +135,20 @@ struct PushInfo {
 /// (task_ready and subclass policy state) still arrive under the runtime
 /// lock, which orders them against the task graph.
 ///
-/// Producer-side split (PR 4): push_to_worker appends the placement to the
-/// shard's submission buffer (kLockRankSubmit) instead of the shard deque,
-/// and completion-driven re-prices are *deferred* into a per-round dirty
-/// set keyed by PriceKey — flushed all at once at round boundaries
-/// (ready_batch_done) and before any price-reading walk, and flushed per
-/// key on the pop/steal paths so the running-slot charge always matches
-/// the live profile mean. A burst of completions therefore issues at most
-/// one LoadAccount::reprice per distinct key per round, and neither
-/// submission nor completion serializes shard work on the runtime lock.
-///
-/// PR 5 batches the buffer appends themselves: ready_batch_begin opens a
-/// WorkerQueues staging window, placements accumulate in producer-private
-/// per-worker runs, and ready_batch_done publishes each non-empty run
-/// with ONE submit-mutex acquisition — one round trip per worker per
-/// ready batch instead of one per task (buffer_push_batches() counts the
-/// appended runs).
+/// Placement publishes straight into the worker's shard
+/// (WorkerQueues::push under the shard's queue mutex), so a placed task is
+/// poppable as soon as push_to_worker returns. Completion-driven re-prices
+/// are *deferred* into a per-round dirty set keyed by PriceKey — flushed
+/// all at once at round boundaries (ready_batch_done) and before any
+/// price-reading walk, and flushed per key on the pop/steal paths so the
+/// running-slot charge always matches the live profile mean. A burst of
+/// completions therefore issues at most one LoadAccount::reprice per
+/// distinct key per round.
 class QueueScheduler : public Scheduler {
  public:
   void attach(SchedulerContext& ctx) override;
   TaskId pop_task(WorkerId worker) override;
   TaskId try_pop_queued(WorkerId worker) override;
-  void ready_batch_begin() override;
   void ready_batch_done() override;
   bool has_pending() const override;
 
@@ -173,11 +159,8 @@ class QueueScheduler : public Scheduler {
   std::uint64_t reprice_requests() const;
   std::uint64_t reprice_flushes() const;
 
-  /// Batched-submission observability (tests, trace_report): how many
-  /// per-shard runs end_batch appended. Each non-empty run is one submit
-  /// mutex acquisition, however many tasks the batch placed on that
-  /// worker — so batches > 0 with batches < tasks placed proves the
-  /// per-task round trips were coalesced.
+  /// Shard publications (tests, benchmark driver): one per placement, so
+  /// it equals the number of push_to_worker calls.
   std::uint64_t buffer_push_batches() const;
 
   /// Queue length of a worker (tie-breaking and tests). Lock-free read of
@@ -199,11 +182,10 @@ class QueueScheduler : public Scheduler {
 
  protected:
   /// Assign `task` to `worker` running `version`: charges the account,
-  /// records the trace event, freezes the applied charge into
-  /// task.scheduler_estimate, appends to the worker's submission buffer,
-  /// and fires the prefetch hook. Runtime lock held (mutates the task);
-  /// the shard queue mutex is NOT taken — the entry is published by the
-  /// next drain (round boundary, or the owner/thief before dequeuing).
+  /// freezes the applied charge into task.scheduler_estimate, records the
+  /// trace event, pushes the entry into the worker's shard (poppable on
+  /// return) and fires the prefetch hook. Runtime lock held (mutates the
+  /// task); the account lock is released before the shard lock is taken.
   void push_to_worker(Task& task, VersionId version, WorkerId worker,
                       const PushInfo& info = PushInfo());
 

@@ -85,7 +85,7 @@ void SufferageScheduler::task_ready(Task& task) {
 
 void SufferageScheduler::ready_batch_done() {
   // Map the batch first, then let the base class run the round boundary
-  // (flush coalesced re-prices, publish the buffered placements).
+  // (flush coalesced re-prices).
   drain_reliable_pool();
   VersioningScheduler::ready_batch_done();
 }

@@ -13,7 +13,7 @@
 // Concurrency: interval state is partitioned into kShardCount shards by
 // `region % kShardCount` — the same striping the DataDirectory uses — so
 // producers registering tasks over disjoint regions take only their shard
-// mutexes (class analyzer.shard, rank 16, below sched.submit) and proceed
+// mutexes (class analyzer.shard, rank 16, below sched.account) and proceed
 // in parallel. A task whose accesses span several shards locks them
 // through ShardLockSet, in ascending shard-index order (the class is
 // marked reentrant so the rank checker accepts the same-class nesting;

@@ -23,7 +23,6 @@ const LockClass kLockRankSanitizerState = {"sanitizer.state", 15};
 // ascending shard-index order; the checker sees same-class nesting.
 const LockClass kLockRankAnalyzerShard = {"analyzer.shard", 16,
                                           /*reentrant=*/true};
-const LockClass kLockRankSubmit = {"sched.submit", 17};
 const LockClass kLockRankAccount = {"sched.account", 20};
 const LockClass kLockRankQueue = {"sched.queue", 30};
 const LockClass kLockRankTrace = {"trace", 40};

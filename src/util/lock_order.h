@@ -44,7 +44,6 @@ extern const LockClass kLockRankData;         ///< rank 13: TransferEngine state
 extern const LockClass kLockRankDataShard;    ///< rank 14: DataDirectory region shards (reentrant: an operation locks its shards in ascending index)
 extern const LockClass kLockRankSanitizerState; ///< rank 15: AccessSanitizer witness/violation state
 extern const LockClass kLockRankAnalyzerShard; ///< rank 16: DependencyAnalyzer region shards (reentrant: multi-shard tasks lock ascending shard index)
-extern const LockClass kLockRankSubmit;       ///< rank 17: per-worker submission buffers
 extern const LockClass kLockRankAccount;      ///< rank 20: QueueScheduler account/index
 extern const LockClass kLockRankQueue;        ///< rank 30: per-worker queue shards
 extern const LockClass kLockRankTrace;        ///< rank 40: DecisionTrace ring

@@ -374,6 +374,27 @@ TEST(QueueSchedulerStealing, IdleSameKindWorkerSteals) {
   EXPECT_EQ(sched.pop_task(1), a.id);
 }
 
+TEST(QueueSchedulerPublication, TaskReadyPublishesWithoutBatchDone) {
+  // Placement publishes straight into the worker's shard: with no
+  // ready_batch_done after task_ready, the task is already listed on its
+  // worker's queue and that worker's lock-free pop finds it.
+  TestContext ctx(make_minotauro_node(1, 2));
+  const TaskTypeId t = ctx.registry_.declare_task("t");
+  ctx.registry_.add_version(t, DeviceKind::kCuda, "v", nullptr, nullptr);
+
+  AffinityScheduler sched;
+  sched.attach(ctx);
+  Task& task = ctx.make_ready_task(t, 0);
+  sched.task_ready(task);
+  const WorkerId w = task.assigned_worker;
+  ASSERT_NE(w, kInvalidWorker);
+  EXPECT_EQ(sched.queued_tasks(w), std::vector<TaskId>{task.id});
+  EXPECT_EQ(sched.queue_length(w), 1u);
+  EXPECT_EQ(sched.buffer_push_batches(), 1u);
+  EXPECT_EQ(sched.try_pop_queued(w), task.id);
+  EXPECT_FALSE(sched.has_pending());
+}
+
 // --- versioning scheduler ----------------------------------------------------
 
 class VersioningTest : public ::testing::Test {
