@@ -1,33 +1,40 @@
-// Micro-benchmarks (google-benchmark) for the runtime's hot paths: event
-// queue churn, dependence analysis (serial and concurrent via the sharded
-// analyzer), directory acquires, profile updates, versioning decisions,
-// and end-to-end task throughput in simulation.
+// Micro-benchmarks (google-benchmark) for the runtime's hot paths:
+// completion-heap churn, dependence analysis (serial and concurrent via
+// the sharded analyzer), directory acquires, profile updates, versioning
+// decisions, and end-to-end task throughput (with heap allocations per
+// task) in simulation.
 #include <benchmark/benchmark.h>
 
+#include "alloc_counter.h"
 #include "bench_context.h"
 #include "common/random.h"
 #include "machine/presets.h"
 #include "runtime/runtime.h"
 #include "sched/profile_table.h"
-#include "sim/event_queue.h"
+#include "sim/completion_queue.h"
 #include "task/dependency_analyzer.h"
 
 namespace versa {
 namespace {
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
+void BM_CompletionQueuePushPop(benchmark::State& state) {
   const std::size_t events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    sim::EventQueue queue;
+    sim::CompletionQueue queue;
+    sim::Completion completion;
     for (std::size_t i = 0; i < events; ++i) {
-      queue.schedule_at(static_cast<Time>(i % 97), [] {});
+      completion.when = static_cast<Time>(i % 97);
+      completion.task = i;
+      queue.push(completion);
     }
-    benchmark::DoNotOptimize(queue.run());
+    std::size_t popped = 0;
+    while (queue.pop(completion)) ++popped;
+    benchmark::DoNotOptimize(popped);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(512);
+BENCHMARK(BM_CompletionQueuePushPop)->Arg(64)->Arg(512);
 
 void BM_DependencyAnalysisChain(benchmark::State& state) {
   const std::size_t tasks = static_cast<std::size_t>(state.range(0));
@@ -136,6 +143,7 @@ BENCHMARK(BM_ProfileRecordAndQuery);
 
 void BM_EndToEndSimThroughput(benchmark::State& state) {
   const std::size_t tasks = static_cast<std::size_t>(state.range(0));
+  const std::uint64_t allocations_before = alloc_counter::count();
   for (auto _ : state) {
     const Machine machine = make_minotauro_node(4, 2);
     RuntimeConfig config;
@@ -156,8 +164,13 @@ void BM_EndToEndSimThroughput(benchmark::State& state) {
     rt.taskwait();
     benchmark::DoNotOptimize(rt.elapsed());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tasks));
+  const double total_tasks = static_cast<double>(state.iterations()) *
+                             static_cast<double>(tasks);
+  state.SetItemsProcessed(static_cast<std::int64_t>(total_tasks));
+  // Heap allocations per task, runtime construction and teardown included.
+  state.counters["allocs_per_task"] =
+      static_cast<double>(alloc_counter::count() - allocations_before) /
+      total_tasks;
 }
 BENCHMARK(BM_EndToEndSimThroughput)->Arg(1000)->Arg(10000);
 

@@ -120,7 +120,6 @@ class DataDirectory {
 
   /// Plain-value snapshot of the transfer accounting.
   TransferStats stats() const { return stats_.snapshot(); }
-  void reset_stats() { stats_.reset(); }
 
   /// Number of evictions performed due to capacity pressure.
   std::uint64_t eviction_count() const {

@@ -85,15 +85,6 @@ TransferStats AtomicTransferStats::snapshot() const {
   return out;
 }
 
-void AtomicTransferStats::reset() {
-  input_bytes_.store(0, std::memory_order_relaxed);
-  output_bytes_.store(0, std::memory_order_relaxed);
-  device_bytes_.store(0, std::memory_order_relaxed);
-  input_count_.store(0, std::memory_order_relaxed);
-  output_count_.store(0, std::memory_order_relaxed);
-  device_count_.store(0, std::memory_order_relaxed);
-}
-
 std::string TransferStats::summary() const {
   std::string out = "in=" + format_bytes(static_cast<double>(input_bytes));
   out += " out=" + format_bytes(static_cast<double>(output_bytes));

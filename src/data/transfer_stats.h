@@ -62,8 +62,6 @@ class AtomicTransferStats {
   /// Plain-value snapshot for reporting (`Runtime::transfer_stats()`).
   TransferStats snapshot() const;
 
-  void reset();
-
  private:
   std::atomic<std::uint64_t> input_bytes_{0};
   std::atomic<std::uint64_t> output_bytes_{0};

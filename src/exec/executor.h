@@ -49,7 +49,6 @@ class ExecutorPort {
   /// runtime lock (the concurrent data path, DESIGN.md §9).
   virtual DataDirectory& port_directory() = 0;
   virtual const VersionRegistry& port_registry() = 0;
-  virtual const Machine& port_machine() = 0;
   /// Report a finished task; the runtime releases successors, notifies the
   /// scheduler, and re-pokes the executor.
   virtual void port_complete(TaskId task, WorkerId worker, Time start,
@@ -100,17 +99,12 @@ class Executor {
   /// Block until one task finished (taskwait on(...)).
   virtual void wait_task(TaskId task) = 0;
 
-  /// Block until every task of `graph` finished (service mode). The
-  /// default is the whole-runtime barrier — always correct, merely
-  /// coarser; the real backends override with per-graph tracking.
-  virtual void wait_graph(GraphId graph) {
-    (void)graph;
-    wait_all();
-  }
+  /// Block until every task of `graph` finished (service mode).
+  virtual void wait_graph(GraphId graph) = 0;
 
   /// Task currently executing on the calling context (kInvalidTask when
   /// called from the master thread). Used to attribute nested submissions.
-  virtual TaskId current_task() const { return kInvalidTask; }
+  virtual TaskId current_task() const = 0;
 
   /// Children-scoped taskwait: block until `parent`'s live_children hits
   /// zero. Called from inside `parent`'s body; implementations keep the

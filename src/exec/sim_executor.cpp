@@ -23,15 +23,12 @@ SimExecutor::SimExecutor(const Machine& machine, SimExecutorConfig config)
   }
 }
 
-void SimExecutor::attach(ExecutorPort& port) { Executor::attach(port); }
-
 void SimExecutor::acquire_for(Task& task, SpaceId space) {
   if (task.acquired_space.load() == space) return;
   TransferList ops;
   port_->port_directory().acquire(task.accesses, space, ops);
   task.transfers_ready_time = engine_.enqueue(ops, queue_.now());
   task.acquired_space.store(space);
-  horizon_ = std::max(horizon_, task.transfers_ready_time);
 }
 
 void SimExecutor::task_queued(Task& task, WorkerId worker) {
@@ -110,24 +107,25 @@ void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   // A nested taskwait inside the body advances virtual time; the parent
   // cannot complete before the clock it observed when its wait returned.
   const Time finish = std::max(start + duration, queue_.now());
-  horizon_ = std::max(horizon_, finish);
-  queue_.schedule_at(
-      finish, [this, id, worker, start, finish, occupy_worker, fails] {
-        // Completion events fire from queue_.step() inside run_until_done,
-        // with the runtime lock held by the enclosing wait entry point;
-        // re-assert it for the analysis (a lambda is a separate function)
-        // and, dynamically, against the held-lock stack.
-        port_->port_mutex().assert_held();
-        if (occupy_worker) {
-          busy_[worker] = false;
-        }
-        if (fails) {
-          port_->port_failed(id, worker, start, finish);
-        } else {
-          port_->port_complete(id, worker, start, finish);
-        }
-        pump();
-      });
+  // seq stays 0: push() stamps the insertion order.
+  queue_.push({finish, 0, id, worker, start, occupy_worker, fails});
+}
+
+bool SimExecutor::step() {
+  sim::Completion done;
+  if (!queue_.pop(done)) return false;
+  if (done.occupy) {
+    busy_[done.worker] = false;
+  }
+  if (done.fails) {
+    port_->port_failed(done.task, done.worker, done.start, done.when);
+  } else {
+    port_->port_complete(done.task, done.worker, done.start, done.when);
+  }
+  // Bodies run from here, after port_complete has returned: the runtime's
+  // completion-side buffers are never live while a body re-enters it.
+  pump();
+  return true;
 }
 
 void SimExecutor::pump() {
@@ -144,26 +142,11 @@ void SimExecutor::pump() {
   }
 }
 
-void SimExecutor::run_until_done(TaskId awaited) {
-  TaskGraph& graph = port_->port_graph();
-  run_until([&] {
-    if (awaited != kInvalidTask) {
-      return graph.task(awaited).state == TaskState::kFinished;
-    }
-    return graph.all_finished();
-  });
-}
-
-void SimExecutor::run_until_graph_done(GraphId awaited) {
-  TaskGraph& graph = port_->port_graph();
-  run_until([&] { return graph.graph_finished(awaited); });
-}
-
 template <typename DonePredicate>
 void SimExecutor::run_until(DonePredicate done) {
   pump();
   while (!done()) {
-    if (queue_.step()) {
+    if (step()) {
       pump();
       continue;
     }
@@ -178,17 +161,20 @@ void SimExecutor::run_until(DonePredicate done) {
 
 void SimExecutor::wait_all() {
   versa::RecursiveLockGuard lock(port_->port_mutex());
-  run_until_done(kInvalidTask);
+  const TaskGraph& graph = port_->port_graph();
+  run_until([&] { return graph.all_finished(); });
 }
 
 void SimExecutor::wait_task(TaskId task) {
   versa::RecursiveLockGuard lock(port_->port_mutex());
-  run_until_done(task);
+  const TaskGraph& graph = port_->port_graph();
+  run_until([&] { return graph.task(task).state == TaskState::kFinished; });
 }
 
-void SimExecutor::wait_graph(GraphId graph) {
+void SimExecutor::wait_graph(GraphId awaited) {
   versa::RecursiveLockGuard lock(port_->port_mutex());
-  run_until_graph_done(graph);
+  const TaskGraph& graph = port_->port_graph();
+  run_until([&] { return graph.graph_finished(awaited); });
 }
 
 void SimExecutor::wait_children(TaskId parent) {
@@ -200,7 +186,7 @@ void SimExecutor::wait_children(TaskId parent) {
   while (graph.task(parent).live_children > 0) {
     pump();  // children may be queued on idle workers with no event yet
     if (graph.task(parent).live_children == 0) break;
-    if (queue_.step()) continue;
+    if (step()) continue;
     // No events left but children remain: they can only be sitting on
     // this very worker's queue (it is busy with the waiting parent).
     // Inline-execute them — the OmpSs "task switching at a taskwait"
@@ -219,9 +205,7 @@ Time SimExecutor::now() const { return queue_.now(); }
 Time SimExecutor::flush(const TransferList& ops) {
   // Called with the runtime lock held (taskwait flush path).
   port_->port_mutex().assert_held();
-  const Time done = engine_.enqueue(ops, queue_.now());
-  horizon_ = std::max(horizon_, done);
-  return done;
+  return engine_.enqueue(ops, queue_.now());
 }
 
 }  // namespace versa

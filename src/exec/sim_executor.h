@@ -13,16 +13,16 @@
 // the whole event loop — the annotations are then truthful rather than
 // waived, and the recursive runtime mutex covers task bodies that re-enter
 // the public runtime API (nested submit / taskwait) from under the loop.
-// Completion callbacks scheduled on the event queue run inside that same
-// loop; they re-assert the capability (the analysis treats a lambda as a
-// separate function) and the assertion is corroborated at runtime by the
-// lock-order checker's held-lock stack.
+// Task completions are plain records in a min-heap (sim::CompletionQueue)
+// that step() pops from inside that same loop; step() is an ordinary
+// member annotated as requiring the runtime lock, so the analysis checks
+// every caller.
 #pragma once
 
 #include <vector>
 
 #include "exec/executor.h"
-#include "sim/event_queue.h"
+#include "sim/completion_queue.h"
 #include "sim/noise.h"
 #include "util/annotated_sync.h"
 
@@ -50,7 +50,6 @@ class SimExecutor final : public Executor {
  public:
   SimExecutor(const Machine& machine, SimExecutorConfig config);
 
-  void attach(ExecutorPort& port) override;
   void task_queued(Task& task, WorkerId worker) override;
   void work_available() override;
   void wait_all() override;
@@ -61,10 +60,6 @@ class SimExecutor final : public Executor {
   Time now() const override;
   Time flush(const TransferList& ops) override;
 
-  /// Completion time of everything modelled so far, including flush
-  /// copies that finish after the last task.
-  Time horizon() const { return horizon_; }
-
   const TransferEngine& transfer_engine() const { return engine_; }
 
  private:
@@ -73,17 +68,21 @@ class SimExecutor final : public Executor {
   // Simulation state below is reached only with the runtime lock held
   // (entry points acquire it; task_assigned/flush arrive with it held by
   // contract and re-assert it).
-  sim::EventQueue queue_;
+  sim::CompletionQueue queue_;
   TransferEngine engine_;
   std::vector<sim::NoiseModel> noise_;
   std::vector<bool> busy_;
-  Time horizon_ = 0.0;
   TaskId current_task_ = kInvalidTask;
   Rng failure_rng_;
 
   /// Acquire `task`'s data for `space` and record its transfer-done time.
   void acquire_for(Task& task, SpaceId space)
       VERSA_REQUIRES(port_->port_mutex());
+
+  /// Fire the earliest completion: free its worker, report the attempt
+  /// to the runtime, then pump. Returns false when no completion is
+  /// pending.
+  bool step() VERSA_REQUIRES(port_->port_mutex());
 
   /// Pop work for every idle worker until nothing moves.
   void pump() VERSA_REQUIRES(port_->port_mutex());
@@ -93,12 +92,8 @@ class SimExecutor final : public Executor {
   /// (it is already marked busy by the waiting parent).
   void start_task(WorkerId worker, TaskId id, bool occupy_worker = true)
       VERSA_REQUIRES(port_->port_mutex());
-  void run_until_done(TaskId task_or_invalid)
-      VERSA_REQUIRES(port_->port_mutex());
-  void run_until_graph_done(GraphId graph)
-      VERSA_REQUIRES(port_->port_mutex());
-  /// Drive the event loop until `done()` holds (shared body of the
-  /// run_until_* entry points).
+  /// Drive the event loop until `done()` holds (shared body of the wait
+  /// entry points).
   template <typename DonePredicate>
   void run_until(DonePredicate done) VERSA_REQUIRES(port_->port_mutex());
 };

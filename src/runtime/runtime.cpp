@@ -12,6 +12,23 @@
 #include "sched/versioning_scheduler.h"
 
 namespace versa {
+namespace {
+
+/// Claims a path's buffers (runtime.h), emptied, for one scope; aborts if
+/// the path re-enters itself while they are live.
+template <typename Buffers>
+struct BufferLease {
+  explicit BufferLease(Buffers& claimed) : buffers(claimed) {
+    VERSA_CHECK_MSG(!buffers.live, "runtime path buffers re-entered");
+    buffers.live = true;
+    buffers.tasks.clear();
+    buffers.dispatch.clear();
+  }
+  ~BufferLease() { buffers.live = false; }
+  Buffers& buffers;
+};
+
+}  // namespace
 
 Runtime::Runtime(const Machine& machine, RuntimeConfig config)
     : machine_(machine),
@@ -235,14 +252,15 @@ TaskId Runtime::submit(TaskTypeId type, AccessList accesses,
 }
 
 void Runtime::register_and_release(Task& task) {
-  std::vector<TaskId> preds;
+  BufferLease lease(submit_buffers_);
+  std::vector<TaskId>& preds = submit_buffers_.tasks;
   analyzer_.add_task(task.id, task.accesses, preds);
   if (sanitizer_ != nullptr) {
     sanitizer_->on_task_registered(task, preds, task.parent);
   }
   const std::uint32_t live = graph_.add_dependencies(task, preds);
   if (live == 0) {
-    release_ready({task.id});
+    release_ready(std::span<const TaskId>(&task.id, 1));
   }
 }
 
@@ -365,6 +383,8 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
       shell.split_children = static_cast<std::uint32_t>(parts.size());
       shell.split_live = shell.split_children;
 
+      BufferLease lease(submit_buffers_);
+      std::vector<TaskId>& preds = submit_buffers_.tasks;
       std::vector<TaskId> ready;
       for (AccessList& part : parts) {
         std::uint64_t child_size = 0;
@@ -387,7 +407,7 @@ bool Runtime::granular_submit(TaskTypeId type, AccessList& accesses,
         child.priority = options.priority;
         child.submit_time = now();
         child.split_parent = shell_id;
-        std::vector<TaskId> preds;
+        preds.clear();
         analyzer_.add_task(child.id, child.accesses, preds);
         if (sanitizer_ != nullptr) {
           // The shell never registers; its children inherit the lineage
@@ -470,7 +490,7 @@ void Runtime::flush_fuse_window() {
   register_and_release(host);
 }
 
-void Runtime::release_ready(const std::vector<TaskId>& ready) {
+void Runtime::release_ready(std::span<const TaskId> ready) {
   if (ready.empty()) return;
   if (fair_share_ == nullptr) {
     dispatch_batch(ready);
@@ -479,8 +499,8 @@ void Runtime::release_ready(const std::vector<TaskId>& ready) {
   // Service mode: each ready task must clear the fair-share gate first.
   // Parked tasks stay kCreated and are handed back by on_complete() when
   // the weighted round-robin reaches their tenant.
-  std::vector<TaskId> dispatch;
-  dispatch.reserve(ready.size());
+  VERSA_CHECK(submit_buffers_.live);
+  std::vector<TaskId>& dispatch = submit_buffers_.dispatch;
   for (TaskId id : ready) {
     Task& task = graph_.task(id);
     if (fair_share_->offer(task.tenant, id)) dispatch.push_back(id);
@@ -488,7 +508,7 @@ void Runtime::release_ready(const std::vector<TaskId>& ready) {
   dispatch_batch(dispatch);
 }
 
-void Runtime::dispatch_batch(const std::vector<TaskId>& batch) {
+void Runtime::dispatch_batch(std::span<const TaskId> batch) {
   if (batch.empty()) return;
   for (TaskId id : batch) {
     Task& task = graph_.task(id);
@@ -511,7 +531,8 @@ void Runtime::port_complete(TaskId id, WorkerId worker, Time start,
   task.start_time = start;
   task.measured_duration = finish - start;
 
-  std::vector<TaskId> newly_ready;
+  BufferLease lease(complete_buffers_);
+  std::vector<TaskId>& newly_ready = complete_buffers_.tasks;
   graph_.mark_finished(id, finish, newly_ready);
   makespan_ = std::max(makespan_, finish);
   if (sanitizer_ != nullptr) {
@@ -564,7 +585,7 @@ void Runtime::port_complete(TaskId id, WorkerId worker, Time start,
   run_stats_.on_complete(task.type, task.chosen_version,
                          task.measured_duration);
   if (fair_share_ == nullptr) {
-    release_ready(newly_ready);
+    dispatch_batch(newly_ready);
     return;
   }
   // Service mode: the completion frees one window slot — refill it from
@@ -572,7 +593,7 @@ void Runtime::port_complete(TaskId id, WorkerId worker, Time start,
   // this task's successors, so a backlogged tenant's parked work competes
   // fairly with the completing tenant's dependence chain. Both sets go to
   // the scheduler as one batch.
-  std::vector<TaskId> dispatch;
+  std::vector<TaskId>& dispatch = complete_buffers_.dispatch;
   fair_share_->on_complete(task.tenant, dispatch);
   for (TaskId succ : newly_ready) {
     Task& s = graph_.task(succ);

@@ -30,7 +30,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "data/directory.h"
 #include "exec/executor.h"
@@ -202,7 +204,6 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   /// synchronized (see the class comment and ExecutorPort).
   DataDirectory& port_directory() override { return directory_; }
   const VersionRegistry& port_registry() override { return registry_; }
-  const Machine& port_machine() override { return machine_; }
   void port_complete(TaskId task, WorkerId worker, Time start,
                      Time finish) override VERSA_REQUIRES(mutex_);
   void port_failed(TaskId task, WorkerId worker, Time start,
@@ -269,6 +270,22 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
   };
   FuseWindow fuse_window_ VERSA_GUARDED_BY(mutex_);
 
+  /// Buffers of the two per-task paths, reused so that neither
+  /// allocates per task: `tasks` takes the analyzer's predecessors
+  /// (submit) or the newly ready successors (completion), `dispatch` the
+  /// gate-approved batch (service mode). BufferLease (runtime.cpp)
+  /// checks that a path never re-enters itself while its buffers are
+  /// live. It cannot, because neither path runs task bodies: sim bodies
+  /// run from pump() after port_complete has returned, and thread-backend
+  /// bodies run outside the runtime lock.
+  struct PathBuffers {
+    std::vector<TaskId> tasks;
+    std::vector<TaskId> dispatch;
+    bool live = false;
+  };
+  PathBuffers submit_buffers_ VERSA_GUARDED_BY(mutex_);
+  PathBuffers complete_buffers_ VERSA_GUARDED_BY(mutex_);
+
   ProfileStore make_profile_store() const;
   void maybe_load_profile() VERSA_REQUIRES(mutex_);
   void maybe_save_profile();
@@ -296,10 +313,12 @@ class Runtime final : public SchedulerContext, public ExecutorPort {
                          TenantId tenant, TaskTypeId type, std::uint64_t size,
                          Duration spread, std::uint32_t children)
       VERSA_REQUIRES(mutex_);
-  void release_ready(const std::vector<TaskId>& ready) VERSA_REQUIRES(mutex_);
+  /// Offer `ready` to the fair-share gate (service mode) and dispatch what
+  /// it approves. Submit path only: runs inside a submit_buffers_ lease.
+  void release_ready(std::span<const TaskId> ready) VERSA_REQUIRES(mutex_);
   /// Hand `batch` (already gate-approved when a gate is installed) to the
   /// scheduler as one ready batch and poke the executor.
-  void dispatch_batch(const std::vector<TaskId>& batch) VERSA_REQUIRES(mutex_);
+  void dispatch_batch(std::span<const TaskId> batch) VERSA_REQUIRES(mutex_);
 };
 
 }  // namespace versa

@@ -1,6 +1,7 @@
 #include "sched/core/load_account.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -40,10 +41,14 @@ LoadAccount::KindIndex& LoadAccount::index_of(WorkerId worker) {
 
 template <typename Fn>
 void LoadAccount::mutate(WorkerId worker, Fn&& fn) {
+  // Re-key the worker's index node in place: extract, update, re-insert
+  // the same node, so a busy-sum change allocates nothing.
   KindIndex& index = index_of(worker);
-  index.erase(index_key(worker));
+  auto node = index.extract(index_key(worker));
+  VERSA_CHECK(!node.empty());
   fn();
-  index.insert(index_key(worker));
+  node.value() = index_key(worker);
+  index.insert(std::move(node));
 }
 
 Ticks LoadAccount::effective(const TaskEntry& entry,

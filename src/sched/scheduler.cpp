@@ -1,5 +1,7 @@
 #include "sched/scheduler.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace versa {
@@ -43,7 +45,13 @@ void QueueScheduler::attach(SchedulerContext& ctx) {
 void QueueScheduler::defer_reprice(const core::PriceKey& key,
                                    std::optional<Duration> mean) {
   versa::LockGuard lock(account_mutex_);
-  pending_reprices_[key] = mean;  // later requests for the key coalesce
+  // Later requests for a key coalesce into its pending slot.
+  const auto it = find_pending_reprice(key);
+  if (it == pending_reprices_.end()) {
+    pending_reprices_.emplace_back(key, mean);
+  } else {
+    it->second = mean;
+  }
   ++reprice_requests_;
 }
 
@@ -58,11 +66,20 @@ void QueueScheduler::flush_deferred_reprices() const {
 }
 
 void QueueScheduler::flush_deferred_reprice(const core::PriceKey& key) const {
-  const auto it = pending_reprices_.find(key);
+  const auto it = find_pending_reprice(key);
   if (it == pending_reprices_.end()) return;
   account_.reprice(key, it->second);
   ++reprice_flushes_;
-  pending_reprices_.erase(it);
+  // Application order is immaterial (see above): swap-and-pop.
+  *it = pending_reprices_.back();
+  pending_reprices_.pop_back();
+}
+
+std::vector<QueueScheduler::PendingReprice>::iterator
+QueueScheduler::find_pending_reprice(const core::PriceKey& key) const {
+  return std::find_if(
+      pending_reprices_.begin(), pending_reprices_.end(),
+      [&](const PendingReprice& pending) { return pending.first == key; });
 }
 
 std::uint64_t QueueScheduler::reprice_requests() const {

@@ -27,7 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/directory.h"
@@ -231,15 +231,20 @@ class QueueScheduler : public Scheduler {
   std::atomic<std::size_t> pending_{0};
   bool stealing_ = false;
 
-  /// Dirty price keys of the current round: key -> latest mean observed
-  /// (nullopt = forgotten). Insertions coalesce; a flush drains it.
-  mutable std::unordered_map<core::PriceKey, std::optional<Duration>,
-                             core::PriceKeyHash>
-      pending_reprices_ VERSA_GUARDED_BY(account_mutex_);
+  /// Dirty price keys since the last flush: (key, latest mean observed;
+  /// nullopt = forgotten). Insertions coalesce; a flush drains it. Every
+  /// placement flushes, so it holds only the few keys completed since the
+  /// last one: a flat vector with a linear lookup, which allocates nothing
+  /// once grown.
+  using PendingReprice = std::pair<core::PriceKey, std::optional<Duration>>;
+  mutable std::vector<PendingReprice> pending_reprices_
+      VERSA_GUARDED_BY(account_mutex_);
   mutable std::uint64_t reprice_requests_ VERSA_GUARDED_BY(account_mutex_) = 0;
   mutable std::uint64_t reprice_flushes_ VERSA_GUARDED_BY(account_mutex_) = 0;
 
   TaskId steal_for(WorkerId thief);
+  std::vector<PendingReprice>::iterator find_pending_reprice(
+      const core::PriceKey& key) const VERSA_REQUIRES(account_mutex_);
 };
 
 }  // namespace versa

@@ -162,16 +162,13 @@ void VersioningScheduler::task_ready(Task& task) {
 }
 
 void VersioningScheduler::drain_pool() {
-  std::deque<TaskId> remaining;
-  while (!pool_.empty()) {
-    const TaskId id = pool_.front();
-    pool_.pop_front();
-    Task& task = ctx_->graph().task(id);
-    if (!try_place(task)) {
-      remaining.push_back(id);
-    }
+  // Compact in place, keeping the unplaced tasks in order. try_place
+  // never touches the pool, so the iterators stay valid.
+  auto kept = pool_.begin();
+  for (auto it = pool_.begin(); it != pool_.end(); ++it) {
+    if (!try_place(ctx_->graph().task(*it))) *kept++ = *it;
   }
-  pool_ = std::move(remaining);
+  pool_.erase(kept, pool_.end());
 }
 
 void VersioningScheduler::assign_earliest_executor(Task& task) {
@@ -192,10 +189,12 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
   // lock (rank 20). Each directory query is atomic on its own; a worker's
   // acquire landing between two candidates' queries can only make the
   // heuristic penalty slightly stale, never torn.
+  // penalties_ is reused across placements: placement runs under the
+  // runtime lock, so no two placements overlap.
   const std::size_t worker_count = ctx_->machine().worker_count();
-  std::vector<Duration> penalties(worker_count, 0.0);
+  penalties_.resize(worker_count);
   for (WorkerId w = 0; w < worker_count; ++w) {
-    penalties[w] = placement_penalty(task, w);
+    penalties_[w] = placement_penalty(task, w);
   }
 
   {
@@ -214,7 +213,7 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
           if (w.kind != version.device) continue;
           const Duration busy =
               static_cast<Duration>(queue_length(w.id)) * 1e-12;
-          const Duration penalty = penalties[w.id];
+          const Duration penalty = penalties_[w.id];
           const Duration finish = busy + *mean + penalty;
           ++candidates;
           if (best_worker == kInvalidWorker || finish < best_finish) {
@@ -238,7 +237,7 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
           break;
         }
         const WorkerId w = std::get<2>(key);
-        const Duration penalty = penalties[w];
+        const Duration penalty = penalties_[w];
         const Duration finish = busy + *mean + penalty;
         ++candidates;
         if (best_worker == kInvalidWorker || finish < best_finish) {

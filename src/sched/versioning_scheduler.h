@@ -71,9 +71,6 @@ class VersioningScheduler : public QueueScheduler {
   /// benches assert on it.
   std::uint64_t learning_executions() const { return learning_executions_; }
 
-  /// Drift alarms raised by the profile table so far (relearn events).
-  std::size_t relearn_events() const { return profile().drift_events().size(); }
-
   /// Debug aid for tests: every estimated_busy() call cross-checks the
   /// incremental account against the O(queue) rescan reference and aborts
   /// on divergence. Off by default (it reintroduces the rescan cost).
@@ -115,6 +112,10 @@ class VersioningScheduler : public QueueScheduler {
 
   /// Round-robin cursor per group for the learning phase.
   std::map<GroupKey, std::size_t> rr_cursor_;
+
+  /// assign_earliest_executor's per-worker placement penalties, reused
+  /// across placements (runtime lock held).
+  std::vector<Duration> penalties_;
 
   GroupKey group_of(const Task& task) const;
 

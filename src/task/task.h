@@ -52,7 +52,6 @@ class TaskContext {
   /// this before running the body iff a sanitizer is active; bodies never
   /// see the difference (AccessWitness no-ops on a null log).
   void set_witness_log(WitnessLog* log) { witness_ = log; }
-  bool witnessing() const { return witness_ != nullptr; }
 
  private:
   friend class AccessWitness;
@@ -172,22 +171,24 @@ class AcquiredSpace {
   std::atomic<SpaceId> space_{kInvalidSpace};
 };
 
+// Field order keeps the 4-byte fields paired so that sizeof(Task) stays at
+// 256 bytes: a libstdc++ std::deque block (512 bytes) then holds two
+// tasks, and the graph allocates a block every other task, not every one.
 struct Task {
   TaskId id = kInvalidTask;
   TaskTypeId type = kInvalidTaskType;
-  AccessList accesses;
-  /// Sum of accessed region sizes, each region counted once even when it
-  /// appears in several clauses (paper §IV-B footnote 2). This is the key
-  /// of the profile's data-set-size group.
-  std::uint64_t data_set_size = 0;
-  std::string label;
-
   /// OmpSs `priority` clause analogue: higher runs earlier among tasks
   /// queued on the same worker. Useful for critical-path tasks like
   /// Cholesky's potrf (§V-B2: "it acts like a bottleneck and if it is not
   /// run as soon as its data dependencies are satisfied, there is less
   /// parallelism to exploit").
   int priority = 0;
+  AccessList accesses;
+  /// Sum of accessed region sizes, each region counted once even when it
+  /// appears in several clauses (paper §IV-B footnote 2). This is the key
+  /// of the profile's data-set-size group.
+  std::uint64_t data_set_size = 0;
+  std::string label;
 
   /// Graph root this task belongs to and the tenant that owns that graph
   /// (service mode, DESIGN.md §10). Single-graph programs leave both at the
@@ -203,8 +204,8 @@ struct Task {
   /// master-thread submissions) and the number of direct children still
   /// unfinished — a taskwait inside a task body waits for exactly these
   /// (OmpSs taskwait is children-scoped, not a global barrier).
-  TaskId parent = kInvalidTask;
   std::uint32_t live_children = 0;
+  TaskId parent = kInvalidTask;
 
   /// Split lineage (adaptive granularity, DESIGN.md §11). A re-tiled
   /// submission leaves a *shell* task — the original type and accesses,
@@ -247,14 +248,16 @@ struct Task {
   /// runtime lock (see AcquiredSpace).
   AcquiredSpace acquired_space;
 
-  /// Execution-time estimate the scheduler charged to the assigned worker's
-  /// busy time; subtracted back on completion (versioning scheduler).
-  Duration scheduler_estimate = 0.0;
-
   /// Execution attempts so far (failure injection: transient device
   /// errors make the runtime reschedule the task; see
   /// SimExecutorConfig::failure_rate).
   std::uint32_t attempts = 0;
+
+  /// Execution-time estimate the scheduler charged to the assigned worker's
+  /// busy time; subtracted back on completion (versioning scheduler).
+  Duration scheduler_estimate = 0.0;
 };
+
+static_assert(sizeof(Task) <= 256, "Task must fit two to a std::deque block");
 
 }  // namespace versa

@@ -13,19 +13,17 @@ Task& TaskGraph::create_task(TaskTypeId type, AccessList accesses,
                              std::uint64_t data_set_size, std::string label,
                              GraphId graph) {
   VERSA_CHECK(graph < graphs_.size());
-  Task task;
-  task.id = static_cast<TaskId>(tasks_.size());
+  Task& task = tasks_.emplace_back();
+  task.id = static_cast<TaskId>(tasks_.size() - 1);
   task.type = type;
   task.accesses = std::move(accesses);
   task.data_set_size = data_set_size;
   task.label = std::move(label);
   task.graph = graph;
   task.tenant = graphs_[graph].tenant;
-  tasks_.push_back(std::move(task));
   ++unfinished_;
   ++graphs_[graph].unfinished;
-  ++graphs_[graph].total;
-  return tasks_.back();
+  return task;
 }
 
 GraphId TaskGraph::open_graph(TenantId tenant) {
@@ -39,16 +37,6 @@ GraphId TaskGraph::open_graph(TenantId tenant) {
 bool TaskGraph::graph_finished(GraphId graph) const {
   VERSA_CHECK(graph < graphs_.size());
   return graphs_[graph].unfinished == 0;
-}
-
-TenantId TaskGraph::graph_tenant(GraphId graph) const {
-  VERSA_CHECK(graph < graphs_.size());
-  return graphs_[graph].tenant;
-}
-
-std::size_t TaskGraph::graph_size(GraphId graph) const {
-  VERSA_CHECK(graph < graphs_.size());
-  return graphs_[graph].total;
 }
 
 std::uint32_t TaskGraph::add_dependencies(Task& task,

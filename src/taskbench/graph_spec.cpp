@@ -165,10 +165,11 @@ GraphOracle oracle_for(const TaskBenchParams& params) {
 std::pair<std::uint32_t, std::uint32_t> GraphSpec::locate(
     std::uint64_t flat) const {
   VERSA_CHECK_MSG(flat < node_count, "taskbench: flat node id out of range");
-  std::uint32_t step = 0;
-  while (step + 1 < level_offset.size() && level_offset[step + 1] <= flat) {
-    ++step;
-  }
+  // The last level whose first node is at or before `flat`.
+  const auto next =
+      std::upper_bound(level_offset.begin(), level_offset.end(), flat);
+  const auto step =
+      static_cast<std::uint32_t>(next - level_offset.begin() - 1);
   return {step, static_cast<std::uint32_t>(flat - level_offset[step])};
 }
 

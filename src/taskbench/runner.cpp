@@ -4,6 +4,7 @@
 #include <chrono>
 #include <string>
 
+#include "common/check.h"
 #include "machine/cost_model.h"
 
 namespace versa::taskbench {
@@ -79,14 +80,24 @@ std::vector<TaskId> submit_graph(Runtime& rt, const GraphSpec& spec,
       if (p.family == GraphFamily::kTrivial) {
         accesses.push_back(Access::in(sources[i]));
       } else {
+        // Edges into `flat` are contiguous from the cursor; size the list
+        // exactly (the output clause plus one input per parent).
+        std::size_t edge_end = edge_cursor;
+        while (edge_end < spec.edges.size() &&
+               spec.edges[edge_end].second == flat) {
+          ++edge_end;
+        }
+        accesses.reserve(1 + edge_end - edge_cursor);
         accesses.push_back(Access::out(buffers[t % 2][i]));
-        while (edge_cursor < spec.edges.size() &&
-               spec.edges[edge_cursor].second == flat) {
-          const auto [parent_step, parent_index] =
-              spec.locate(spec.edges[edge_cursor].first);
-          accesses.push_back(
-              Access::in(buffers[parent_step % 2][parent_index]));
-          ++edge_cursor;
+        for (; edge_cursor < edge_end; ++edge_cursor) {
+          // Every edge crosses exactly one step (graph_spec.h), so the
+          // parent's index is its offset into level t-1.
+          const std::uint64_t parent = spec.edges[edge_cursor].first;
+          VERSA_CHECK_MSG(t > 0 && parent >= spec.level_offset[t - 1] &&
+                              parent < spec.level_offset[t],
+                          "taskbench: edge does not cross exactly one step");
+          accesses.push_back(Access::in(
+              buffers[(t - 1) % 2][parent - spec.level_offset[t - 1]]));
         }
       }
       submit_options.label =

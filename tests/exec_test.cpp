@@ -1,5 +1,5 @@
 // Edge-case tests for the execution backends: default cost fallback,
-// horizon tracking, stolen-task re-acquisition, prefetch state machine,
+// flush-extended makespan, stolen-task re-acquisition, prefetch state machine,
 // and per-worker noise stream independence.
 #include <gtest/gtest.h>
 
@@ -23,6 +23,45 @@ TEST(SimExec, DefaultDurationCoversVersionsWithoutCostModel) {
   rt.submit(t, {Access::inout(r)});
   rt.taskwait();
   EXPECT_NEAR(rt.elapsed(), 2.5e-3, 1e-12);
+}
+
+TEST(SimExec, SameTimeCompletionsFireInStartOrder) {
+  // Four independent tasks of one constant cost start together on four
+  // workers and finish at the same virtual time. The completion heap
+  // breaks the tie by insertion order, i.e. by start order.
+  const Machine machine = make_smp_machine(4);
+  RuntimeConfig config;
+  config.backend = Backend::kSim;
+  config.scheduler = "versioning";
+  config.noise.kind = sim::NoiseKind::kNone;
+  config.sched_trace = true;
+  Runtime rt(machine, config);
+  // Bodies run when their task starts; each task has a worker of its own.
+  std::vector<WorkerId> started_on;
+  const TaskTypeId t = rt.declare_task("t");
+  rt.add_version(
+      t, DeviceKind::kSmp, "v",
+      [&](TaskContext& ctx) { started_on.push_back(ctx.worker()); },
+      make_constant_cost(1e-3));
+  for (int i = 0; i < 4; ++i) {
+    rt.submit(t, {Access::out(rt.register_data("r" + std::to_string(i), 64))});
+  }
+  rt.taskwait();
+  ASSERT_EQ(started_on.size(), 4u);
+  std::vector<TaskId> started;
+  for (WorkerId w : started_on) {
+    for (TaskId id = 0; id < 4; ++id) {
+      const Task& task = rt.task_graph().task(id);
+      EXPECT_DOUBLE_EQ(task.finish_time, 1e-3);
+      if (task.assigned_worker == w) started.push_back(id);
+    }
+  }
+  std::vector<TaskId> completed;
+  for (const core::TraceEvent& e : rt.scheduler().decision_trace().events()) {
+    if (e.kind == core::TraceEventKind::kComplete) completed.push_back(e.task);
+  }
+  ASSERT_EQ(started.size(), 4u);
+  EXPECT_EQ(completed, started);
 }
 
 TEST(SimExec, FlushExtendsElapsedBeyondLastTask) {

@@ -1,110 +1,116 @@
-// Unit tests for the discrete-event core: event queue ordering,
-// cancellation, virtual clock; noise model statistics.
+// Unit tests for the discrete-event core: completion queue ordering and
+// virtual clock; noise model statistics. The suite keeps the name
+// EventQueue: the completion heap is the sim backend's event queue.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
-#include "sim/event_queue.h"
+#include "sim/completion_queue.h"
 #include "sim/noise.h"
 
 namespace versa::sim {
 namespace {
 
+/// Push a completion for `task` at `when`.
+void push_at(CompletionQueue& q, Time when, TaskId task) {
+  Completion c;
+  c.when = when;
+  c.task = task;
+  q.push(c);
+}
+
+/// Pop every completion, returning their tasks in firing order.
+std::vector<TaskId> drain(CompletionQueue& q) {
+  std::vector<TaskId> order;
+  Completion c;
+  while (q.pop(c)) order.push_back(c.task);
+  return order;
+}
+
 TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  q.schedule_at(2.0, [&] { order.push_back(2); });
-  EXPECT_EQ(q.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  CompletionQueue q;
+  push_at(q, 3.0, 3);
+  push_at(q, 1.0, 1);
+  push_at(q, 2.0, 2);
+  EXPECT_EQ(drain(q), (std::vector<TaskId>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule_at(5.0, [&order, i] { order.push_back(i); });
-  }
-  q.run();
-  for (int i = 0; i < 10; ++i) {
+  CompletionQueue q;
+  for (TaskId i = 0; i < 10; ++i) push_at(q, 5.0, i);
+  const std::vector<TaskId> order = drain(q);
+  ASSERT_EQ(order.size(), 10u);
+  for (TaskId i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], i);
   }
 }
 
-TEST(EventQueue, ScheduleAfterUsesCurrentClock) {
-  EventQueue q;
-  Time seen = -1.0;
-  q.schedule_at(2.0, [&] {
-    q.schedule_after(3.0, [&] { seen = q.now(); });
-  });
-  q.run();
-  EXPECT_DOUBLE_EQ(seen, 5.0);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventHandle h = q.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));  // double-cancel reports failure
-  q.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelledEventsAreSkippedOnPop) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  const EventHandle h = q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.cancel(h);
-  EXPECT_EQ(q.run(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
 TEST(EventQueue, EventsMayScheduleMoreEvents) {
-  EventQueue q;
+  // A fired completion may start more work, whose completion is pushed
+  // while the queue is being drained (the executor's step -> pump path).
+  CompletionQueue q;
+  push_at(q, 0.0, 0);
   int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) q.schedule_after(1.0, chain);
-  };
-  q.schedule_at(0.0, chain);
-  q.run();
+  Completion c;
+  while (q.pop(c)) {
+    if (++depth < 5) push_at(q, q.now() + 1.0, c.task + 1);
+  }
   EXPECT_EQ(depth, 5);
+  EXPECT_EQ(c.task, 4u);
   EXPECT_DOUBLE_EQ(q.now(), 4.0);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit) {
-  EventQueue q;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) {
-    q.schedule_at(static_cast<Time>(i), [&] { ++count; });
-  }
-  EXPECT_EQ(q.run_until(5.0), 5u);
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(q.pending(), 5u);
-}
-
 TEST(EventQueue, EmptyAndPendingTrackLiveEvents) {
-  EventQueue q;
+  CompletionQueue q;
   EXPECT_TRUE(q.empty());
-  const EventHandle h = q.schedule_at(1.0, [] {});
+  push_at(q, 1.0, 7);
   EXPECT_FALSE(q.empty());
   EXPECT_EQ(q.pending(), 1u);
-  q.cancel(h);
+  Completion c;
+  ASSERT_TRUE(q.pop(c));
+  EXPECT_EQ(c.task, 7u);
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, StepReturnsFalseWhenDrained) {
-  EventQueue q;
-  EXPECT_FALSE(q.step());
-  q.schedule_at(1.0, [] {});
-  EXPECT_TRUE(q.step());
-  EXPECT_FALSE(q.step());
+  CompletionQueue q;
+  Completion c;
+  EXPECT_FALSE(q.pop(c));
+  push_at(q, 1.0, 1);
+  EXPECT_TRUE(q.pop(c));
+  EXPECT_FALSE(q.pop(c));
+}
+
+TEST(EventQueue, PushCarriesTheAttemptRecord) {
+  CompletionQueue q;
+  Completion in;
+  in.when = 2.5;
+  in.task = 9;
+  in.worker = 3;
+  in.start = 1.5;
+  in.occupy = false;
+  in.fails = true;
+  q.push(in);
+  Completion out;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_DOUBLE_EQ(out.when, 2.5);
+  EXPECT_EQ(out.task, 9u);
+  EXPECT_EQ(out.worker, 3u);
+  EXPECT_DOUBLE_EQ(out.start, 1.5);
+  EXPECT_FALSE(out.occupy);
+  EXPECT_TRUE(out.fails);
+}
+
+TEST(EventQueueDeathTest, PushIntoThePastAborts) {
+  CompletionQueue q;
+  push_at(q, 2.0, 1);
+  Completion c;
+  ASSERT_TRUE(q.pop(c));
+  EXPECT_DEATH(push_at(q, 1.0, 2), "completion scheduled in the past");
 }
 
 TEST(Noise, NoneIsExact) {

@@ -1,5 +1,6 @@
 // Property tests for the synthetic workload generator (src/taskbench,
-// DESIGN.md §14). Two layers:
+// DESIGN.md §14). Two layers, plus GraphSpec::locate against a reference
+// scan and the runner's one-step edge check:
 //
 //  * Oracle conformance — for a parameter sweep over every family, the
 //    generated edge list must match the closed-form oracle exactly:
@@ -19,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -92,6 +95,80 @@ TEST(TaskbenchOracle, ClosureContainsEdgesAndTransitivePairs) {
   EXPECT_TRUE(closure_reaches(closure, 0, spec.level_offset[4]));
   EXPECT_FALSE(closure_reaches(closure, 0, spec.level_offset[4] + 1));
   EXPECT_FALSE(closure_reaches(closure, spec.level_offset[4], 0));
+}
+
+/// (step, index) of `flat` by walking the level table from step 0: the
+/// reference the binary-searching GraphSpec::locate must match.
+std::pair<std::uint32_t, std::uint32_t> locate_by_scan(const GraphSpec& spec,
+                                                       std::uint64_t flat) {
+  std::uint32_t step = 0;
+  while (step + 1 < spec.level_offset.size() &&
+         spec.level_offset[step + 1] <= flat) {
+    ++step;
+  }
+  return {step, static_cast<std::uint32_t>(flat - spec.level_offset[step])};
+}
+
+TEST(TaskbenchLocate, MatchesLinearScanForEveryFamily) {
+  // Widths that kFft/kTree round to powers of two and kStencil2D to
+  // squares, and step counts long enough for kTree's uneven reduce /
+  // broadcast levels.
+  bool saw_uneven_levels = false;
+  for (const GraphFamily family : all_families()) {
+    for (const std::uint32_t width : {1u, 2u, 3u, 7u, 16u, 33u}) {
+      for (const std::uint32_t steps : {1u, 2u, 5u, 9u, 17u}) {
+        TaskBenchParams params;
+        params.family = family;
+        params.width = width;
+        params.steps = steps;
+        const GraphSpec spec = generate_graph(params);
+        saw_uneven_levels |=
+            std::adjacent_find(spec.level_width.begin(),
+                               spec.level_width.end(),
+                               std::not_equal_to<>()) !=
+            spec.level_width.end();
+        for (std::uint64_t flat = 0; flat < spec.node_count; ++flat) {
+          const auto located = spec.locate(flat);
+          ASSERT_EQ(located, locate_by_scan(spec, flat))
+              << to_string(family) << " width " << width << " steps "
+              << steps << " flat " << flat;
+          ASSERT_LT(located.second, spec.level_width[located.first]);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_uneven_levels);
+}
+
+TEST(TaskbenchLocateDeathTest, OutOfRangeFlatIdAborts) {
+  TaskBenchParams params;
+  params.family = GraphFamily::kStencil1D;
+  params.width = 4;
+  params.steps = 3;
+  const GraphSpec spec = generate_graph(params);
+  EXPECT_DEATH(spec.locate(spec.node_count), "flat node id out of range");
+}
+
+TEST(TaskbenchLocateDeathTest, EdgeSkippingALevelAbortsSubmission) {
+  // Hand-built three-level chain whose only edge jumps from level 0 to
+  // level 2: submit_graph reads parents from level t-1 and must refuse.
+  GraphSpec spec;
+  spec.params.family = GraphFamily::kChain;
+  spec.params.width = 1;
+  spec.params.steps = 3;
+  spec.node_count = 3;
+  spec.level_width = {1, 1, 1};
+  spec.level_offset = {0, 1, 2};
+  spec.edges = {{0, 2}};
+  EXPECT_DEATH(
+      {
+        const Machine machine = make_smp_machine(1);
+        RuntimeConfig config;
+        config.backend = Backend::kSim;
+        Runtime rt(machine, config);
+        submit_graph(rt, spec);
+      },
+      "edge does not cross exactly one step");
 }
 
 /// One conformance run: submit the spec, run it, and require every
