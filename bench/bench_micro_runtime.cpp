@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the runtime's hot paths:
 // completion-heap churn, dependence analysis (serial and concurrent via
 // the sharded analyzer), directory acquires, profile updates, versioning
-// decisions, and end-to-end task throughput (with heap allocations per
-// task) in simulation.
+// decisions, end-to-end task throughput (with heap allocations per task)
+// in simulation, and one simulated Cholesky round on the MinoTauro node.
 #include <benchmark/benchmark.h>
 
 #include "alloc_counter.h"
+#include "apps/cholesky.h"
 #include "bench_context.h"
 #include "common/random.h"
 #include "machine/presets.h"
@@ -173,6 +174,33 @@ void BM_EndToEndSimThroughput(benchmark::State& state) {
       total_tasks;
 }
 BENCHMARK(BM_EndToEndSimThroughput)->Arg(1000)->Arg(10000);
+
+void BM_CholeskySimRound(benchmark::State& state) {
+  // One potrf-hyb Cholesky (n = 32768, block 2048: 816 tasks) on the
+  // simulated MinoTauro node per iteration, as perfbench's cholesky-sim
+  // round runs it: eight SMP workers sit idle while the GPU versions take
+  // the tasks, so the event loop's pop layer shows here.
+  const Machine machine = make_minotauro_node(8, 2);
+  std::size_t tasks = 0;
+  for (auto _ : state) {
+    RuntimeConfig config;
+    config.backend = Backend::kSim;
+    config.scheduler = "versioning";
+    Runtime rt(machine, config);
+    apps::CholeskyParams params;
+    params.n = 32768;
+    params.block = 2048;
+    params.potrf = apps::PotrfVariant::kHybrid;
+    apps::CholeskyApp app(rt, params);
+    app.submit_all();
+    rt.taskwait();
+    tasks = app.task_count();
+    benchmark::DoNotOptimize(rt.elapsed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tasks));
+}
+BENCHMARK(BM_CholeskySimRound);
 
 void BM_VersioningDecisionScaling(benchmark::State& state) {
   // Cost of the versioning scheduler's earliest-executor decision as the

@@ -57,6 +57,9 @@ enum class DeviceKind : std::uint8_t {
   kCuda,  ///< GPU-like accelerator with its own memory space.
 };
 
+/// Number of DeviceKind values (arrays indexed by kind).
+inline constexpr std::size_t kDeviceKindCount = 2;
+
 const char* to_string(DeviceKind kind);
 
 }  // namespace versa

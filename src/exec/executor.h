@@ -80,6 +80,13 @@ class Executor {
 
   virtual void attach(ExecutorPort& port) { port_ = &port; }
 
+  // Notification contract: every event that can turn an idle worker's
+  // failing pop into a task is announced through task_queued (a task
+  // entered a worker queue; same-kind workers may steal it) or
+  // work_available (a central pool or ready list may have grown). The
+  // sim backend polls only workers notified since their last failed pop,
+  // so a scheduler that makes work poppable any other way stalls it.
+
   /// A scheduler placed `task` on `worker`'s queue (prefetch hook).
   /// Called with the runtime lock held; `task` is a stable reference into
   /// the task graph (deque storage, never moved). Implementations must not
@@ -88,8 +95,9 @@ class Executor {
   /// data off the runtime lock later.
   virtual void task_queued(Task& task, WorkerId worker) = 0;
 
-  /// Ready work may exist for idle workers (pull-style schedulers).
-  /// Called with the runtime lock held.
+  /// Ready work may exist for idle workers (pull-style schedulers). The
+  /// runtime calls it after every wave of task_ready calls. Called with
+  /// the runtime lock held.
   virtual void work_available() = 0;
 
   /// Block until every submitted task finished. Must be called from the

@@ -13,6 +13,7 @@ SimExecutor::SimExecutor(const Machine& machine, SimExecutorConfig config)
       config_(config),
       engine_(machine),
       busy_(machine.worker_count(), false),
+      may_have_work_(machine.worker_count(), true),
       failure_rng_(config.seed ^ 0xfa11u) {
   VERSA_CHECK(config_.failure_rate >= 0.0 && config_.failure_rate < 1.0);
   VERSA_CHECK(config_.max_attempts >= 1);
@@ -41,10 +42,20 @@ void SimExecutor::task_queued(Task& task, WorkerId worker) {
     // Overlap: start this task's copies now, while workers compute.
     acquire_for(task, machine_.worker(worker).space);
   }
-  // Actual dispatch happens in pump(), driven by the wait loops.
+  // Actual dispatch happens in pump(), driven by the wait loops. Every
+  // worker of this kind may now pop the task: its owner directly, the
+  // others by stealing it.
+  const DeviceKind kind = machine_.worker(worker).kind;
+  for (const WorkerDesc& w : machine_.workers()) {
+    if (w.kind == kind) may_have_work_[w.id] = true;
+  }
 }
 
-void SimExecutor::work_available() {}
+void SimExecutor::work_available() {
+  // A pool or ready list grew: any idle worker may pull from it.
+  port_->port_mutex().assert_held();
+  std::fill(may_have_work_.begin(), may_have_work_.end(), true);
+}
 
 void SimExecutor::start_task(WorkerId worker, TaskId id, bool occupy_worker) {
   Task& task = port_->port_graph().task(id);
@@ -115,6 +126,8 @@ bool SimExecutor::step() {
   sim::Completion done;
   if (!queue_.pop(done)) return false;
   if (done.occupy) {
+    // Its may_have_work_ flag is still set: pump() clears flags of idle
+    // workers only.
     busy_[done.worker] = false;
   }
   if (done.fails) {
@@ -129,13 +142,21 @@ bool SimExecutor::step() {
 }
 
 void SimExecutor::pump() {
+  // Polls in ascending worker id, like a loop over every idle worker, but
+  // skips the workers whose pop must fail: a failed pop has no side
+  // effects, so the sequence of successful pops is the same. A started
+  // task may queue work (nested submit) for any worker, so the pass
+  // repeats while it makes progress.
   bool progress = true;
   while (progress) {
     progress = false;
     for (WorkerId w = 0; w < machine_.worker_count(); ++w) {
-      if (busy_[w]) continue;
+      if (busy_[w] || !may_have_work_[w]) continue;
       const TaskId id = port_->port_scheduler().pop_task(w);
-      if (id == kInvalidTask) continue;
+      if (id == kInvalidTask) {
+        may_have_work_[w] = false;
+        continue;
+      }
       start_task(w, id);
       progress = true;
     }
@@ -146,16 +167,12 @@ template <typename DonePredicate>
 void SimExecutor::run_until(DonePredicate done) {
   pump();
   while (!done()) {
-    if (step()) {
-      pump();
-      continue;
-    }
-    pump();
-    if (queue_.empty() && !done()) {
-      VERSA_CHECK_MSG(false,
-                      "simulation deadlock: unfinished tasks but no events "
-                      "(task with no runnable version, or scheduler bug)");
-    }
+    // step() pumps after each completion; with no completion pending,
+    // nothing can change, so unfinished tasks mean a deadlock.
+    const bool fired = step();
+    VERSA_CHECK_MSG(fired,
+                    "simulation deadlock: unfinished tasks but no events "
+                    "(task with no runnable version, or scheduler bug)");
   }
 }
 
@@ -183,9 +200,8 @@ void SimExecutor::wait_children(TaskId parent) {
   versa::RecursiveLockGuard lock(port_->port_mutex());
   TaskGraph& graph = port_->port_graph();
   const WorkerId worker = graph.task(parent).assigned_worker;
+  pump();  // children may be queued on idle workers with no event yet
   while (graph.task(parent).live_children > 0) {
-    pump();  // children may be queued on idle workers with no event yet
-    if (graph.task(parent).live_children == 0) break;
     if (step()) continue;
     // No events left but children remain: they can only be sitting on
     // this very worker's queue (it is busy with the waiting parent).
@@ -197,6 +213,7 @@ void SimExecutor::wait_children(TaskId parent) {
                     "nested taskwait deadlock: children pending but no "
                     "events and no queued work");
     start_task(worker, next, /*occupy_worker=*/false);
+    pump();  // the inlined body may have queued work for idle workers
   }
 }
 

@@ -17,6 +17,13 @@
 // that step() pops from inside that same loop; step() is an ordinary
 // member annotated as requiring the runtime lock, so the analysis checks
 // every caller.
+//
+// Dispatch is event-driven: an idle worker whose pop failed is not asked
+// again until an event that can give it work — a task queued for its
+// device kind (task_queued) or a pool or ready-list growth
+// (work_available). This relies on the Executor contract (executor.h)
+// and on failed pops having no side effects, so every decision and
+// virtual time matches polling every idle worker after every event.
 #pragma once
 
 #include <vector>
@@ -72,6 +79,12 @@ class SimExecutor final : public Executor {
   TransferEngine engine_;
   std::vector<sim::NoiseModel> noise_;
   std::vector<bool> busy_;
+  /// Per worker: false only while its pop is certain to fail. A failed
+  /// pop on the idle worker clears it; task_queued sets it on every
+  /// worker of the queue's device kind (owner and stealers),
+  /// work_available on every worker. A busy worker's flag stays set, so
+  /// the completion that frees it needs no notification.
+  std::vector<bool> may_have_work_;
   TaskId current_task_ = kInvalidTask;
   Rng failure_rng_;
 
@@ -84,7 +97,9 @@ class SimExecutor final : public Executor {
   /// pending.
   bool step() VERSA_REQUIRES(port_->port_mutex());
 
-  /// Pop work for every idle worker until nothing moves.
+  /// Start work on idle workers, in ascending id order, until a pass
+  /// starts nothing. Polls only the workers whose may_have_work_ is set,
+  /// which gives the same pops as polling every idle worker.
   void pump() VERSA_REQUIRES(port_->port_mutex());
 
   /// Launch `id` on `worker`. `occupy_worker` is false when a worker

@@ -10,9 +10,24 @@ void Scheduler::attach(SchedulerContext& ctx) { ctx_ = &ctx; }
 
 TaskId Scheduler::try_pop_queued(WorkerId) { return kInvalidTask; }
 
-void Scheduler::task_completed(Task&, WorkerId, Duration) {}
+void Scheduler::task_completed(Task& task, WorkerId worker,
+                               Duration measured) {
+  trace_attempt_end(task, worker, 0.0, measured,
+                    core::TraceEventKind::kComplete);
+}
 
-void Scheduler::task_failed(Task&, WorkerId) {}
+void Scheduler::task_failed(Task& task, WorkerId worker) {
+  trace_attempt_end(task, worker, 0.0, 0.0, core::TraceEventKind::kFailure);
+}
+
+void Scheduler::trace_attempt_end(const Task& task, WorkerId worker,
+                                  Duration busy_after, Duration measured,
+                                  core::TraceEventKind kind) {
+  if (!trace_.enabled()) return;
+  trace_.record(core::TraceEvent{ctx_->now(), task.id, task.type,
+                                 task.chosen_version, worker, busy_after,
+                                 measured, 0.0, 0, kind, task.tenant});
+}
 
 Duration Scheduler::estimated_busy(WorkerId) const { return 0.0; }
 
@@ -223,12 +238,8 @@ void QueueScheduler::task_completed(Task& task, WorkerId worker,
     account_.on_settle(worker);
     busy_after = account_.busy(worker);
   }
-  if (trace_.enabled()) {
-    trace_.record(core::TraceEvent{
-        ctx_->now(), task.id, task.type, task.chosen_version, worker,
-        busy_after, measured, 0.0, 0, core::TraceEventKind::kComplete,
-        task.tenant});
-  }
+  trace_attempt_end(task, worker, busy_after, measured,
+                    core::TraceEventKind::kComplete);
 }
 
 void QueueScheduler::task_failed(Task& task, WorkerId worker) {
@@ -238,11 +249,8 @@ void QueueScheduler::task_failed(Task& task, WorkerId worker) {
     account_.on_settle(worker);
     busy_after = account_.busy(worker);
   }
-  if (trace_.enabled()) {
-    trace_.record(core::TraceEvent{
-        ctx_->now(), task.id, task.type, task.chosen_version, worker,
-        busy_after, 0.0, 0.0, 0, core::TraceEventKind::kFailure, task.tenant});
-  }
+  trace_attempt_end(task, worker, busy_after, 0.0,
+                    core::TraceEventKind::kFailure);
 }
 
 Duration QueueScheduler::estimated_busy(WorkerId worker) const {

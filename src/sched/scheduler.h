@@ -82,11 +82,14 @@ class Scheduler {
   /// pop_task under the runtime lock. Must not touch the task graph.
   virtual TaskId try_pop_queued(WorkerId worker);
 
+  /// `task` finished on `worker`. The default records the completion in
+  /// the decision trace (busy term zero); every override records it too.
   virtual void task_completed(Task& task, WorkerId worker, Duration measured);
 
   /// A dispatched task failed transiently on `worker` and will be made
   /// ready again. Policies must release any per-worker accounting; they
-  /// must NOT record the wasted time as a measurement.
+  /// must NOT record the wasted time as a measurement. The default
+  /// records the failure in the decision trace, as every override does.
   virtual void task_failed(Task& task, WorkerId worker);
 
   /// Estimated seconds of queued + running work on `worker` (0 when the
@@ -114,6 +117,13 @@ class Scheduler {
 
   /// Workers whose device kind can run `version`.
   std::vector<WorkerId> compatible_workers(const TaskVersion& version) const;
+
+  /// Record the end of `task`'s attempt on `worker` in the decision
+  /// trace: `kind` is kComplete (with the `measured` duration) or
+  /// kFailure; `busy_after` is the worker's busy time left.
+  void trace_attempt_end(const Task& task, WorkerId worker,
+                         Duration busy_after, Duration measured,
+                         core::TraceEventKind kind);
 };
 
 /// Placement context threaded into the load account and the decision

@@ -26,6 +26,7 @@ void VersioningScheduler::attach(SchedulerContext& ctx) {
       });
   learning_executions_ = 0;
   pool_.clear();
+  pooled_by_kind_.fill(0);
   learning_inflight_.clear();
   rr_cursor_.clear();
 }
@@ -155,9 +156,27 @@ bool VersioningScheduler::try_place(Task& task) {
   return false;  // every learning slot is taken; wait in the pool
 }
 
+void VersioningScheduler::count_pooled(const Task& task, bool pooled) {
+  std::array<bool, kDeviceKindCount> has_kind{};
+  for (VersionId v : ctx_->registry().versions(task.type)) {
+    has_kind[static_cast<std::size_t>(ctx_->registry().version(v).device)] =
+        true;
+  }
+  for (std::size_t kind = 0; kind < kDeviceKindCount; ++kind) {
+    if (!has_kind[kind]) continue;
+    if (pooled) {
+      ++pooled_by_kind_[kind];
+    } else {
+      VERSA_CHECK(pooled_by_kind_[kind] > 0);
+      --pooled_by_kind_[kind];
+    }
+  }
+}
+
 void VersioningScheduler::task_ready(Task& task) {
   if (!try_place(task)) {
     pool_.push_back(task.id);
+    count_pooled(task, true);
   }
 }
 
@@ -166,7 +185,12 @@ void VersioningScheduler::drain_pool() {
   // never touches the pool, so the iterators stay valid.
   auto kept = pool_.begin();
   for (auto it = pool_.begin(); it != pool_.end(); ++it) {
-    if (!try_place(ctx_->graph().task(*it))) *kept++ = *it;
+    Task& task = ctx_->graph().task(*it);
+    if (try_place(task)) {
+      count_pooled(task, false);
+    } else {
+      *kept++ = *it;
+    }
   }
   pool_.erase(kept, pool_.end());
 }
@@ -261,6 +285,9 @@ void VersioningScheduler::assign_earliest_executor(Task& task) {
 
 TaskId VersioningScheduler::pull_from_pool(WorkerId worker) {
   const DeviceKind kind = ctx_->machine().worker(worker).kind;
+  if (pooled_by_kind_[static_cast<std::size_t>(kind)] == 0) {
+    return kInvalidTask;
+  }
   for (auto it = pool_.begin(); it != pool_.end(); ++it) {
     Task& task = ctx_->graph().task(*it);
     // Candidate versions of this task runnable on the idle worker.
@@ -293,9 +320,12 @@ TaskId VersioningScheduler::pull_from_pool(WorkerId worker) {
     }
     if (choice == kInvalidVersion) continue;  // task not for this device
     pool_.erase(it);
+    count_pooled(task, false);
     push_learning(task, choice, worker);
     return QueueScheduler::pop_task(worker);
   }
+  // Every pooled task with a version of this kind yields a choice above.
+  VERSA_CHECK_MSG(false, "pooled_by_kind_ counts a task the pool lacks");
   return kInvalidTask;
 }
 

@@ -33,6 +33,7 @@
 // learning phase for that new group only.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
 
@@ -107,6 +108,11 @@ class VersioningScheduler : public QueueScheduler {
   /// Ready tasks not yet assigned to any worker (learning back-pressure).
   std::deque<TaskId> pool_;
 
+  /// Pooled tasks with at least one version of each device kind. A
+  /// worker whose kind counts zero cannot pull anything, so its pool
+  /// fallback returns without walking the pool.
+  std::array<std::size_t, kDeviceKindCount> pooled_by_kind_{};
+
   /// Learning-phase in-flight run count per (group, version).
   std::map<std::pair<GroupKey, VersionId>, std::uint32_t> learning_inflight_;
 
@@ -125,6 +131,10 @@ class VersioningScheduler : public QueueScheduler {
 
   /// Place every placeable pooled task, preserving order.
   void drain_pool();
+
+  /// Count `task` into pooled_by_kind_ as it enters the pool
+  /// (`pooled`) or leaves it.
+  void count_pooled(const Task& task, bool pooled);
 
   void assign_earliest_executor(Task& task);
 
